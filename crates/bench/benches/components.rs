@@ -297,38 +297,6 @@ fn bench_swar_probe(c: &mut Criterion) {
     });
 }
 
-fn bench_l3_batch(c: &mut Criterion) {
-    // The batched warm path against the one-access-at-a-time reference
-    // on the same chip and instruction budget: the gap is what queueing
-    // L3 requests per pacing round (instead of interleaving them with
-    // private-hierarchy work) buys in locality. Results are bit-identical
-    // (pinned by `batched_warm_matches_one_at_a_time`).
-    let cfg = MachineConfig::baseline();
-    let mix = Mix {
-        apps: vec![SpecApp::Ammp, SpecApp::Mcf, SpecApp::Swim, SpecApp::Applu],
-        forwards: vec![0; 4],
-    };
-    for (name, batched) in [
-        ("l3_batch_access_batched", true),
-        ("l3_batch_access_reference", false),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter_batched(
-                || Cmp::new(&cfg, Organization::Shared, &mix, 42).unwrap(),
-                |mut cmp| {
-                    if batched {
-                        cmp.warm(3_000);
-                    } else {
-                        cmp.warm_reference(3_000);
-                    }
-                    cmp.now()
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
-}
-
 fn bench_cycle_skip(c: &mut Criterion) {
     // The event-driven run loop against the reference stepping loop on
     // the same warmed chip: the gap between these two lines is exactly
@@ -404,19 +372,6 @@ fn bench_fast_path(c: &mut Criterion) {
         l1.fill(addr, false, CoreId::from_index(0));
         b.iter(|| fused_hit(black_box(&mut tlb), black_box(&mut l1), addr, false));
     });
-    // One full 64-op slab refill + drain against `tracegen_next_op`
-    // (above), which measures the same decode one op at a time.
-    c.bench_function("slab_decode_64", |b| {
-        let mut gen = TraceGenerator::new(SpecApp::Gzip.profile(), SimRng::seed_from(3));
-        gen.set_slab(true);
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..64 {
-                acc = acc.wrapping_add(gen.next_op().dep1 as u64);
-            }
-            acc
-        });
-    });
     // The detailed stepping loop with and without the hit fast path on
     // the same warmed chip: the gap between these two lines is what the
     // fused probe + memos + issue hint buy on hit-heavy windows.
@@ -457,7 +412,6 @@ criterion_group!(
     bench_shadow_tags,
     bench_core_cycle,
     bench_swar_probe,
-    bench_l3_batch,
     bench_cycle_skip,
     bench_functional_window,
     bench_fast_path

@@ -14,10 +14,6 @@
 //!                           disabled (the control semantics; the
 //!                           fast_path_control section then compares
 //!                           slow against slow)
-//!     --sample-sets <K>     set-sampling shift for the accuracy pass   [default: 4]
-//!     --max-sample-error <PCT>
-//!                           fail if the sampled pass's worst hmean-IPC
-//!                           error vs the full serial pass exceeds PCT %
 //!     --time-sample <D:G>   time-sampling schedule for the time-sampled
 //!                           accuracy pass: D detailed cycles alternating
 //!                           with G functionally warmed cycles
@@ -37,14 +33,13 @@
 //! so numbers are comparable across commits; wall-clock values move
 //! with the host, the schema must not. The serial pass is the reference
 //! semantics: the run also verifies the parallel pass produced
-//! bit-identical results and records that as `"deterministic"`.
+//! bit-identical results and records that as `"deterministic"`. A
+//! malformed flag value is a usage error (exit 2), never a silent
+//! default.
 //!
 //! Schema v2 extends v1 with a per-organization breakdown of
-//! the serial pass and a `sampling` section: the same matrix re-run
-//! under `--sample-sets`, reporting its throughput and its worst/mean
-//! harmonic-mean-IPC error against the full serial pass. Accuracy gates
-//! CI the same way speed does — `--max-sample-error` is the error
-//! analogue of `--check-regression`.
+//! the serial pass (and a set-sampling `sampling` section, dropped in
+//! v6).
 //!
 //! Schema v3 adds `serial.repeats` and
 //! `serial.winning_repeat`: with `--repeat N` the serial pass runs N
@@ -58,10 +53,10 @@
 //! matrix re-run under `--time-sample D:G` (SMARTS-style detailed
 //! windows alternating with functional-warming gaps), reporting its
 //! throughput, speedup and worst/mean harmonic-mean-IPC error against
-//! the full serial pass. `--max-time-sample-error` gates that error the
-//! same way `--max-sample-error` gates set sampling.
+//! the full serial pass. `--max-time-sample-error` gates that error:
+//! accuracy gates CI the same way `--check-regression` gates speed.
 //!
-//! Schema v5 (this file) adds:
+//! Schema v5 adds:
 //!
 //! - a `fast_path_control` section — the serial matrix re-run with the
 //!   exact core-side hit fast path disabled (`--no-fast-path`), the
@@ -78,6 +73,9 @@
 //!   compares `serial.per_organization.<org>.sim_cycles_per_second`
 //!   when the reference carries it, so a single-organization regression
 //!   cannot hide inside a flat whole-matrix aggregate.
+//!
+//! Schema v6 (this file) drops the `sampling` section together with the
+//! set-sampled simulation mode it measured.
 
 // Figure-harness binary: failing fast on experiment errors is intended.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -99,8 +97,6 @@ struct Args {
     repeat: usize,
     cycle_skip: bool,
     fast_path: bool,
-    sample_shift: u32,
-    max_sample_error: Option<f64>,
     time_sample: (u64, u64),
     max_time_sample_error: Option<f64>,
     out: Option<String>,
@@ -108,61 +104,69 @@ struct Args {
     check_regression: Option<String>,
 }
 
-fn parse_args() -> Args {
+/// Parses perf's arguments (without `argv[0]`). Every flag value is
+/// checked: a malformed number is an error, never a silent fallback to
+/// the default (a mistyped `--max-time-sample-error` must not switch the
+/// accuracy gate off).
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         quick: false,
         jobs: 0,
         repeat: 1,
         cycle_skip: true,
         fast_path: true,
-        sample_shift: 4,
-        max_sample_error: None,
         time_sample: (10_000, 40_000),
         max_time_sample_error: None,
         out: None,
         check_schema: None,
         check_regression: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--quick" => args.quick = true,
-            "--jobs" => args.jobs = it.next().and_then(|v| v.parse().ok()).unwrap_or(0),
+            "--jobs" => args.jobs = parse_count("--jobs", &value("--jobs")?)?,
             "--repeat" => {
-                args.repeat = it.next().and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
+                args.repeat = parse_count("--repeat", &value("--repeat")?)?;
+                if args.repeat == 0 {
+                    return Err("--repeat wants at least 1".to_string());
+                }
             }
             "--no-skip" => args.cycle_skip = false,
             "--no-fast-path" => args.fast_path = false,
-            "--sample-sets" => {
-                args.sample_shift = it.next().and_then(|v| v.parse().ok()).unwrap_or(4);
-            }
-            "--max-sample-error" => {
-                args.max_sample_error = it.next().and_then(|v| v.parse().ok());
-            }
             "--time-sample" => {
-                let v = it.next().unwrap_or_default();
-                args.time_sample = parse_time_sample(&v).unwrap_or_else(|| {
-                    eprintln!("perf: --time-sample wants D:G with D > 0 (got {v:?})");
-                    std::process::exit(2);
-                });
+                let v = value("--time-sample")?;
+                args.time_sample = parse_time_sample(&v)
+                    .ok_or_else(|| format!("--time-sample wants D:G with D > 0 (got {v:?})"))?;
             }
             "--max-time-sample-error" => {
-                args.max_time_sample_error = it.next().and_then(|v| v.parse().ok());
+                let v = value("--max-time-sample-error")?;
+                let pct = v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|p| p.is_finite() && *p >= 0.0)
+                    .ok_or_else(|| {
+                        format!("--max-time-sample-error wants a percentage (got {v:?})")
+                    })?;
+                args.max_time_sample_error = Some(pct);
             }
-            "--out" => args.out = it.next(),
-            "--check-schema" => args.check_schema = it.next(),
-            "--check-regression" => args.check_regression = it.next(),
-            other => {
-                if let Some(v) = other.strip_prefix("--jobs=") {
-                    args.jobs = v.parse().unwrap_or(0);
-                } else {
-                    eprintln!("perf: unknown argument {other} (see the module docs)");
-                    std::process::exit(2);
-                }
-            }
+            "--out" => args.out = Some(value("--out")?),
+            "--check-schema" => args.check_schema = Some(value("--check-schema")?),
+            "--check-regression" => args.check_regression = Some(value("--check-regression")?),
+            other => match other.strip_prefix("--jobs=") {
+                Some(v) => args.jobs = parse_count("--jobs", v)?,
+                None => return Err(format!("unknown argument {other} (see the module docs)")),
+            },
         }
     }
-    args
+    Ok(args)
+}
+
+/// Parses a non-negative integer flag value.
+fn parse_count(flag: &str, v: &str) -> Result<usize, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} wants a non-negative integer (got {v:?})"))
 }
 
 /// Parses a `D:G` schedule; a zero detail with a non-zero gap is
@@ -206,7 +210,10 @@ fn sampling_error(full: &[MixResult], sampled: &[MixResult]) -> (f64, f64) {
 fn main() {
     let tele = nuca_bench::trace_out::TelemetryArgs::parse();
     tele.install();
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("perf: {e}");
+        std::process::exit(2);
+    });
     let machine = MachineConfig::baseline();
     let (n_mixes, exp) = if args.quick {
         (2, ExperimentConfig::quick())
@@ -333,18 +340,9 @@ fn main() {
     let parallel = run_cells(&cells, &parallel_exp).expect("parallel pass runs");
     let parallel_wall = t1.elapsed().as_secs_f64();
 
-    // Sampled pass: the same matrix with only 1/2^shift of the L3 sets
-    // simulated, compared cell-for-cell against the full serial results.
-    let sampled_exp = serial_exp.with_sample_sets(Some(args.sample_shift));
-    let t2 = Instant::now();
-    let sampled = run_cells(&cells, &sampled_exp).expect("sampled pass runs");
-    let sampled_wall = t2.elapsed().as_secs_f64();
-    let (max_err, mean_err) = sampling_error(&serial, &sampled);
-
     // Time-sampled pass: the same matrix with detailed windows
     // alternating with functional-warming gaps, compared cell-for-cell
-    // against the full serial results — same accuracy methodology as
-    // the set-sampled pass, different sampling dimension. The explicit
+    // against the full serial results. The explicit
     // fast-forward is cut to 5/8: the gap engine keeps warming state
     // through the whole run, so part of the up-front warm budget is
     // redundant here, and charging it all anyway would hide wall-clock
@@ -500,14 +498,6 @@ fn main() {
         Json::num((winning_repeat + 1) as f64),
     ));
     serial_json.push(("per_organization".into(), Json::Obj(per_org.clone())));
-    let mut sampling_json = rate(sampled_wall);
-    sampling_json.insert(0, ("shift".into(), Json::num(args.sample_shift as f64)));
-    sampling_json.push((
-        "speedup_vs_serial".into(),
-        Json::num(serial_wall / sampled_wall.max(1e-9)),
-    ));
-    sampling_json.push(("max_rel_error_hmean_ipc".into(), Json::num(max_err)));
-    sampling_json.push(("mean_rel_error_hmean_ipc".into(), Json::num(mean_err)));
     let mut time_sampling_json = rate(ts_wall);
     time_sampling_json.insert(0, ("gap".into(), Json::num(ts_gap as f64)));
     time_sampling_json.insert(0, ("detail".into(), Json::num(ts_detail as f64)));
@@ -530,7 +520,7 @@ fn main() {
         ("identical".to_string(), Json::Bool(control_identical)),
     ];
     let doc = Json::Obj(vec![
-        ("schema_version".into(), Json::num(5.0)),
+        ("schema_version".into(), Json::num(6.0)),
         ("bench".into(), Json::str("nuca-bench perf")),
         ("quick".into(), Json::Bool(args.quick)),
         (
@@ -565,7 +555,6 @@ fn main() {
         ),
         ("parallel".into(), Json::Obj(rate(parallel_wall))),
         ("speedup".into(), speedup_json),
-        ("sampling".into(), Json::Obj(sampling_json)),
         ("time_sampling".into(), Json::Obj(time_sampling_json)),
         ("attribution".into(), Json::Obj(attribution)),
         ("note".into(), Json::str(note)),
@@ -585,14 +574,6 @@ fn main() {
          deterministic={deterministic}",
         args.repeat,
         winning_repeat + 1
-    );
-    eprintln!(
-        "perf: sampled (shift {}) {sampled_wall:.2}s ({:.2}x vs serial), \
-         hmean-IPC error max {:.2}% mean {:.2}%",
-        args.sample_shift,
-        serial_wall / sampled_wall.max(1e-9),
-        max_err * 100.0,
-        mean_err * 100.0
     );
     eprintln!(
         "perf: time-sampled ({ts_detail}:{ts_gap}) {ts_wall:.2}s ({:.2}x vs serial), \
@@ -615,21 +596,6 @@ fn main() {
     if !control_identical {
         eprintln!("perf: FAIL — --no-fast-path control results differ from serial results");
         failed = true;
-    }
-
-    if let Some(limit_pct) = args.max_sample_error {
-        if max_err * 100.0 > limit_pct {
-            eprintln!(
-                "perf: FAIL — sampled pass error {:.2}% exceeds the {limit_pct}% budget",
-                max_err * 100.0
-            );
-            failed = true;
-        } else {
-            eprintln!(
-                "perf: sampled pass error {:.2}% within the {limit_pct}% budget",
-                max_err * 100.0
-            );
-        }
     }
 
     if let Some(limit_pct) = args.max_time_sample_error {
@@ -771,5 +737,57 @@ fn main() {
 
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn well_formed_flags_parse() {
+        let args = parse(
+            "--quick --jobs 2 --repeat 3 --no-skip --no-fast-path --time-sample 500:2000 \
+             --max-time-sample-error 10.5 --out o.json --check-schema s.json \
+             --check-regression r.json",
+        )
+        .unwrap();
+        assert!(args.quick && !args.cycle_skip && !args.fast_path);
+        assert_eq!((args.jobs, args.repeat), (2, 3));
+        assert_eq!(args.time_sample, (500, 2_000));
+        assert_eq!(args.max_time_sample_error, Some(10.5));
+        assert_eq!(args.out.as_deref(), Some("o.json"));
+        assert_eq!(args.check_schema.as_deref(), Some("s.json"));
+        assert_eq!(args.check_regression.as_deref(), Some("r.json"));
+        assert_eq!(parse("--jobs=4").unwrap().jobs, 4);
+        let defaults = parse("").unwrap();
+        assert_eq!((defaults.jobs, defaults.repeat), (0, 1));
+        assert_eq!(defaults.max_time_sample_error, None);
+    }
+
+    #[test]
+    fn malformed_values_are_errors_not_defaults() {
+        for (line, flag) in [
+            ("--max-time-sample-error 1O", "--max-time-sample-error"),
+            ("--max-time-sample-error NaN", "--max-time-sample-error"),
+            ("--max-time-sample-error -3", "--max-time-sample-error"),
+            ("--max-time-sample-error", "--max-time-sample-error"),
+            ("--jobs x", "--jobs"),
+            ("--jobs=x", "--jobs"),
+            ("--repeat x", "--repeat"),
+            ("--repeat 0", "--repeat"),
+            ("--time-sample 0:40", "--time-sample"),
+            ("--out", "--out"),
+            ("--bogus", "--bogus"),
+        ] {
+            let err = parse(line)
+                .err()
+                .unwrap_or_else(|| panic!("`{line}` parsed"));
+            assert!(err.contains(flag), "`{line}`: error `{err}` names {flag}");
+        }
     }
 }

@@ -49,7 +49,6 @@ pub fn experiment_config() -> ExperimentConfig {
     };
     base.with_jobs(jobs())
         .with_fast_path(fast_path())
-        .with_sample_sets(sample_sets())
         .with_time_sample(time_sample())
 }
 
@@ -91,33 +90,12 @@ pub fn fast_path() -> bool {
     )
 }
 
-/// Set-sampling shift for simulation grids: `--sample-sets K` on the
-/// command line beats `NUCA_BENCH_SAMPLE_SETS`; absent both, sampling is
-/// off and every set is simulated. Shared by every figure binary and
-/// `perf`, like [`jobs`].
-pub fn sample_sets() -> Option<u32> {
-    let mut argv = std::env::args().skip(1);
-    let mut requested = None;
-    while let Some(arg) = argv.next() {
-        if arg == "--sample-sets" {
-            requested = argv.next().and_then(|v| v.parse::<u32>().ok());
-        } else if let Some(v) = arg.strip_prefix("--sample-sets=") {
-            requested = v.parse::<u32>().ok();
-        }
-    }
-    requested.or_else(|| {
-        std::env::var("NUCA_BENCH_SAMPLE_SETS")
-            .ok()
-            .and_then(|s| s.parse::<u32>().ok())
-    })
-}
-
 /// Time-sampling schedule for simulation grids: `--time-sample D:G` on
 /// the command line (D detailed cycles alternating with G functionally
 /// warmed cycles) beats `NUCA_BENCH_TIME_SAMPLE`; absent both, every
 /// cycle is simulated in detail. A zero gap (`D:0`) is byte-identical
 /// to no time sampling. Shared by every figure binary and `perf`, like
-/// [`jobs`] and [`sample_sets`]. Malformed schedules — including `0:G`,
+/// [`jobs`]. Malformed schedules — including `0:G`,
 /// which has no detailed cycles to measure IPC from — are ignored like
 /// any other malformed bench flag, leaving the run at full detail.
 pub fn time_sample() -> Option<(u64, u64)> {

@@ -363,20 +363,6 @@ impl Cache {
             .map(|w| self.owners[set * self.ways + w])
     }
 
-    /// Number of valid blocks in the set containing `addr` owned by `core`.
-    pub fn owned_in_set(&self, addr: Address, core: CoreId) -> usize {
-        let set = self.set_index(addr);
-        let base = set * self.ways;
-        let mut m = self.valid[set];
-        let mut n = 0;
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            n += usize::from(self.owners[base + w] == core);
-            m &= m - 1;
-        }
-        n
-    }
-
     /// Hit/miss statistics since the last reset.
     #[inline]
     pub fn stats(&self) -> HitMiss {
@@ -652,8 +638,7 @@ mod tests {
         let owner = CoreId::from_index(2);
         c.fill(a, false, owner);
         assert_eq!(c.owner_of(a), Some(owner));
-        assert_eq!(c.owned_in_set(a, owner), 1);
-        assert_eq!(c.owned_in_set(a, c0()), 0);
+        assert_eq!(c.owner_of(Address::new(0x80)), None);
     }
 
     #[test]

@@ -62,9 +62,6 @@ impl SetSampling {
     }
 
     /// Computes the monitored-set membership for a cache of `sets` sets.
-    /// Also used by the set-sampled *full* simulation (`SampledL3`), which
-    /// generalizes this table's §4.6 sampling to the whole last-level
-    /// cache.
     pub fn membership(&self, sets: usize) -> Vec<bool> {
         let target = (sets >> self.shift()).max(1);
         match *self {
@@ -282,37 +279,6 @@ impl ShadowTags {
         }
     }
 
-    /// Bitmask of cores whose shadow register in `set` holds `addr` —
-    /// one SWAR pass over the set's packed digest words (all cores at
-    /// once), candidates confirmed with exact tag compares. `0` for
-    /// unmonitored sets. Read-only: no hit counters are touched.
-    pub fn matching_cores(&self, set: usize, addr: BlockAddr) -> u64 {
-        if !self.monitors(set) {
-            return 0;
-        }
-        let base = self.slot_of[set] as usize * self.dwords_per_slot;
-        let d = swar::digest(addr.raw());
-        let mut candidates = 0u64;
-        for k in 0..self.dwords_per_slot {
-            candidates |=
-                u64::from(swar::match_mask(self.digests[base + k], d)) << (k * swar::LANES);
-        }
-        let mut confirmed = 0u64;
-        let mut m = candidates;
-        while m != 0 {
-            let c = m.trailing_zeros() as usize;
-            // Lanes past the core count carry zero digests; the bounds
-            // check plus exact confirm keeps them out of the result.
-            if c < self.cores
-                && self.tags[c * self.monitored_sets + self.slot_of[set] as usize] == addr.raw()
-            {
-                confirmed |= 1u64 << c;
-            }
-            m &= m - 1;
-        }
-        confirmed
-    }
-
     /// Raw shadow-hit count for `core` since the last reset.
     #[inline]
     pub fn hits(&self, core: CoreId) -> u64 {
@@ -487,20 +453,6 @@ mod tests {
         for w in monitored.windows(2) {
             assert_eq!(w[1] - w[0], 5);
         }
-    }
-
-    #[test]
-    fn matching_cores_reports_exact_bitmask() {
-        let mut st = ShadowTags::new(64, 4, 0);
-        let a = BlockAddr::new(0x123);
-        st.record_eviction(5, c(1), a);
-        st.record_eviction(5, c(3), a);
-        st.record_eviction(5, c(2), BlockAddr::new(0x456));
-        assert_eq!(st.matching_cores(5, a), 0b1010);
-        assert_eq!(st.matching_cores(5, BlockAddr::new(0x456)), 0b0100);
-        assert_eq!(st.matching_cores(5, BlockAddr::new(0x789)), 0);
-        assert_eq!(st.matching_cores(6, a), 0, "other sets untouched");
-        assert_eq!(st.hits(c(1)), 0, "read-only probe");
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!
 //! ```text
 //! nuca-sim campaign <spec.toml> [--out PATH] [--shard K/N] [--resume]
-//!                   [--jobs N] [--sample-sets K] [--time-sample D:G]
-//!                   [--fail-after N]
+//!                   [--jobs N] [--time-sample D:G] [--fail-after N]
 //! nuca-sim campaign merge <merged.jsonl> <shard.jsonl>...
 //! ```
 //!
@@ -32,7 +31,7 @@ pub const EXIT_USAGE: i32 = 2;
 
 /// One-line usage summary, printed on argument errors.
 pub const USAGE: &str = "usage: nuca-sim campaign <spec.toml> [--out PATH] [--shard K/N] \
-[--resume] [--jobs N] [--sample-sets K] [--time-sample D:G] [--fail-after N]\n   or: \
+[--resume] [--jobs N] [--time-sample D:G] [--fail-after N]\n   or: \
 nuca-sim campaign merge <merged.jsonl> <shard.jsonl>...";
 
 /// Runs the `campaign` subcommand. `args` is everything after the
@@ -82,7 +81,6 @@ fn merge_command(args: &[String]) -> Result<String, CampaignError> {
 struct Parsed {
     spec_path: String,
     opts: RunOptions,
-    sample_override: Option<u32>,
     time_override: Option<crate::spec::TsPair>,
 }
 
@@ -97,7 +95,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, CampaignError> {
     let mut parsed = Parsed {
         spec_path: String::new(),
         opts: RunOptions::default(),
-        sample_override: None,
         time_override: None,
     };
     let mut it = args.iter().peekable();
@@ -125,9 +122,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, CampaignError> {
             "--jobs" => parsed.opts.jobs = parse_u64("--jobs", it.next())? as usize,
             "--fail-after" => {
                 parsed.opts.fail_after = Some(parse_u64("--fail-after", it.next())? as usize);
-            }
-            "--sample-sets" => {
-                parsed.sample_override = Some(parse_u64("--sample-sets", it.next())? as u32);
             }
             "--time-sample" => {
                 let v = it.next().ok_or_else(|| {
@@ -188,9 +182,6 @@ fn campaign_command(args: &[String], print: &mut dyn FnMut(&str)) -> i32 {
             return EXIT_USAGE;
         }
     };
-    if let Some(shift) = parsed.sample_override {
-        spec.axes.sample_shift = vec![shift];
-    }
     if let Some(pair) = parsed.time_override {
         spec.axes.time_sample = vec![pair];
     }
@@ -300,8 +291,6 @@ mod tests {
             "3",
             "--fail-after",
             "7",
-            "--sample-sets",
-            "4",
             "--time-sample",
             "10000:40000",
         ]))
@@ -312,7 +301,6 @@ mod tests {
         assert!(parsed.opts.resume);
         assert_eq!(parsed.opts.jobs, 3);
         assert_eq!(parsed.opts.fail_after, Some(7));
-        assert_eq!(parsed.sample_override, Some(4));
         let pair = parsed.time_override.unwrap();
         assert_eq!((pair.detail, pair.gap), (10_000, 40_000));
     }

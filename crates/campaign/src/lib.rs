@@ -4,7 +4,7 @@
 //! A *campaign* is the design-space-exploration layer above
 //! [`nuca_core::experiment`]: a committed `.toml` spec describes axes
 //! (organization, L3 size/ways/latency, memory latency, mix seeds,
-//! sampling shift) that expand into a flat, deterministic grid of
+//! time-sampling schedule) that expand into a flat, deterministic grid of
 //! simulation cells. The engine then
 //!
 //! 1. optionally *screens* the grid with the analytical cost/latency

@@ -463,10 +463,6 @@ fn axis_fields(cell: &Cell, mix_label: &str, status: &str) -> Vec<(String, Json)
         ("mix_seed".to_string(), Json::num(cell.mix_seed as f64)),
         ("mix_index".to_string(), Json::num(cell.mix_index as f64)),
         (
-            "sample_shift".to_string(),
-            Json::num(f64::from(cell.sample_shift)),
-        ),
-        (
             "time_sample".to_string(),
             Json::str(cell.time_sample.render()),
         ),
@@ -522,24 +518,6 @@ fn done_line(cell: &Cell, mix_label: &str, result: &CmpResult) -> String {
                 ),
                 ("std_error".to_string(), Json::num(t.hmean_ipc_std_error)),
                 ("relative_ci95".to_string(), Json::num(t.relative_ci95)),
-            ]),
-        ));
-    }
-    if let Some(s) = &result.sampling {
-        fields.push((
-            "sampling".to_string(),
-            Json::Obj(vec![
-                ("shift".to_string(), Json::num(f64::from(s.shift))),
-                (
-                    "sampled_accesses".to_string(),
-                    Json::num(s.sampled_accesses as f64),
-                ),
-                (
-                    "estimated_accesses".to_string(),
-                    Json::num(s.estimated_accesses as f64),
-                ),
-                ("mean_latency".to_string(), Json::num(s.mean_latency)),
-                ("std_error".to_string(), Json::num(s.std_error)),
             ]),
         ));
     }

@@ -2,7 +2,7 @@
 //! dominated before paying for their simulation.
 //!
 //! Screening compares cells *running the same workload* — same
-//! `(mix_seed, mix_index, sample_shift)` — using the closed-form
+//! `(mix_seed, mix_index)` — using the closed-form
 //! [`nuca_core::cost::screening_estimate`] price: storage bits and
 //! modeled miss-service latency. A cell is pruned when some other cell
 //! of its workload class is no worse on both and strictly better on
@@ -45,9 +45,7 @@ pub fn screen(spec: &CampaignSpec, cells: &[Cell]) -> Result<Vec<Pruned>, Campai
         let org = organization_for(cell, spec.seed);
         estimates.push(screening_estimate(&machine, &org));
     }
-    let same_class = |a: &Cell, b: &Cell| {
-        a.mix_seed == b.mix_seed && a.mix_index == b.mix_index && a.sample_shift == b.sample_shift
-    };
+    let same_class = |a: &Cell, b: &Cell| a.mix_seed == b.mix_seed && a.mix_index == b.mix_index;
     let mut pruned = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         let verdict = cells.iter().enumerate().find(|(j, other)| {

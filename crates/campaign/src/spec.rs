@@ -24,7 +24,6 @@
 //! l2_latency = [9]
 //! mem_latency = ["258/260"]
 //! mix_seed = [2007]
-//! sample_shift = [0]
 //! time_sample = ["0:0"]
 //! ```
 //!
@@ -177,8 +176,6 @@ pub struct Axes {
     pub mem_latency: Vec<LatPair>,
     /// Workload-mix seeds; each seed draws `mixes` mixes from `pool`.
     pub mix_seed: Vec<u64>,
-    /// Set-sampling shifts (`0` = full-detail simulation).
-    pub sample_shift: Vec<u32>,
     /// Time-sampling schedules as `detail:gap` pairs (`0:0` = every
     /// cycle simulated in detail).
     pub time_sample: Vec<TsPair>,
@@ -200,7 +197,6 @@ impl Default for Axes {
                 shared: 260,
             }],
             mix_seed: vec![2007],
-            sample_shift: vec![0],
             time_sample: vec![TsPair { detail: 0, gap: 0 }],
         }
     }
@@ -619,9 +615,6 @@ impl CampaignSpec {
                 "l2_latency" => self.axes.l2_latency = int_axis(e)?,
                 "mem_latency" => self.axes.mem_latency = lat_axis(e)?,
                 "mix_seed" => self.axes.mix_seed = int_axis(e)?,
-                "sample_shift" => {
-                    self.axes.sample_shift = int_axis(e)?.into_iter().map(|v| v as u32).collect();
-                }
                 "time_sample" => self.axes.time_sample = ts_axis(e)?,
                 other => return Err(err(e.line, format!("unknown [axes] key `{other}`"))),
             }
@@ -648,7 +641,6 @@ impl CampaignSpec {
             || a.l2_latency.is_empty()
             || a.mem_latency.is_empty()
             || a.mix_seed.is_empty()
-            || a.sample_shift.is_empty()
             || a.time_sample.is_empty()
         {
             return bad("every axis needs at least one value".to_string());
@@ -729,18 +721,6 @@ impl CampaignSpec {
         let _ = writeln!(out, "mix_seed = [{}]", ints(&self.axes.mix_seed));
         let _ = writeln!(
             out,
-            "sample_shift = [{}]",
-            ints(
-                &self
-                    .axes
-                    .sample_shift
-                    .iter()
-                    .map(|&v| v as u64)
-                    .collect::<Vec<_>>()
-            )
-        );
-        let _ = writeln!(
-            out,
             "time_sample = [{}]",
             self.axes
                 .time_sample
@@ -774,7 +754,6 @@ organization = ["private", "adaptive"]
 l3_mb = [4, 8]
 l3_latency = ["14/19", "16/24"]
 mem_latency = ["258/260"]
-sample_shift = [0, 4]
 time_sample = ["0:0", "20000:80000"]
 "#;
 
@@ -807,7 +786,6 @@ time_sample = ["0:0", "20000:80000"]
                 }
             ]
         );
-        assert_eq!(spec.axes.sample_shift, vec![0, 4]);
         assert_eq!(
             spec.axes.time_sample,
             vec![
@@ -878,6 +856,10 @@ time_sample = ["0:0", "20000:80000"]
         expect_err(
             "[campaign]\n[axes]\ntime_sample = [\"0:500\"]\n",
             "detail > 0",
+        );
+        expect_err(
+            "[axes]\nsample_shift = [0]\n",
+            "unknown [axes] key `sample_shift`",
         );
         expect_err("[campaign]\n[axes]\nl3_mb = []\n", "must not be empty");
         expect_err("[campaign]\n[axes]\nl3_mb = [1,\n2]\n", "one line");

@@ -11,7 +11,6 @@
 use std::borrow::Borrow;
 
 use cpusim::core::{Core, CoreStats};
-use cpusim::l3iface::{L3Batch, L3Op, LastLevel, OPS_PER_WARM_OP};
 use memsim::MemoryStats;
 use simcore::config::MachineConfig;
 use simcore::error::{ConfigError, Result};
@@ -23,7 +22,7 @@ use telemetry::{Event, NullSink, Sink};
 use tracegen::workload::Mix;
 use tracegen::TraceGenerator;
 
-use crate::l3::{L3System, Organization, SamplingReport};
+use crate::l3::{L3System, Organization};
 
 /// SMARTS-style accuracy summary of a time-sampled run: what fraction of
 /// time ran detailed, how many paired measurements the estimate rests
@@ -65,8 +64,6 @@ pub struct CmpResult {
     pub memory: MemoryStats,
     /// Adaptive quota snapshot, when the organization is adaptive.
     pub quotas: Option<Vec<u32>>,
-    /// Set-sampling accuracy summary, when the run was set-sampled.
-    pub sampling: Option<SamplingReport>,
     /// Time-sampling accuracy summary, when the run was time-sampled
     /// (`None` for full-detail runs, including `--time-sample d:0`).
     pub time_sampling: Option<TimeSamplingReport>,
@@ -299,7 +296,7 @@ impl<S: Sink> Cmp<S> {
     }
 
     /// Enables or disables the exact core-side hit fast path (fused
-    /// TLB+L1 probe, memo-served lookups, slab-decoded traces, issue-scan
+    /// TLB+L1 probe, memo-served lookups, warm trace decode, issue-scan
     /// hint) on every core. Results are bit-identical either way; this is
     /// the `--no-fast-path` escape hatch the differential CI job flips.
     pub fn set_fast_path(&mut self, enabled: bool) {
@@ -558,23 +555,6 @@ impl<S: Sink> Cmp<S> {
     /// state updates but no pipeline timing (one instruction per core per
     /// cycle of pacing, so the shared bus sees a realistic request
     /// spacing). Mirrors the paper's long fast-forward before measuring.
-    ///
-    /// Each core's L3-bound requests are collected into an [`L3Batch`]
-    /// and drained through the organization in one pass per pacing
-    /// iteration instead of interleaving organization calls with
-    /// private-hierarchy work. The drain is bit-identical to the
-    /// one-at-a-time loop kept as [`warm_reference`](Self::warm_reference)
-    /// because (a) the warm path discards L3 timing — only the outcome
-    /// *source* feeds per-core counters — so deferring an access never
-    /// changes the issuing core's subsequent behavior (L1/L2/TLB state is
-    /// core-private and independent of L3 outcomes); (b) the batch is
-    /// drained in exact push order — core-major, each access followed by
-    /// its dependent writeback — which is the order the reference loop
-    /// issues them, so the organization and memory channel see the same
-    /// request sequence; and (c) every request in one batch carries the
-    /// same `now`. Same-set conflicts therefore cannot be reordered: two
-    /// requests to one set drain in the same relative order the reference
-    /// path would have issued them.
     pub fn warm(&mut self, instructions_per_core: u64) {
         // Equal instruction pacing distorts the per-wall-clock estimator
         // counters, so quota adaptation pauses during functional warm-up;
@@ -587,22 +567,17 @@ impl<S: Sink> Cmp<S> {
 
     /// The functional-warming engine shared by [`warm`](Self::warm) and
     /// the time-sampling gaps: every core retires one instruction per
-    /// cycle through the batched warm path (full cache/TLB/predictor/L3
-    /// state updates, no pipeline timing), and the memory channel is
+    /// cycle (full cache/TLB/predictor/L3 state updates, no pipeline
+    /// timing), and the memory channel is
     /// quiesced at the end so a following detailed window starts on an
     /// uncongested bus. Unlike [`warm`](Self::warm) this does *not*
     /// freeze quota adaptation — time-sampling gaps keep Algorithm 1
     /// firing on the live miss stream.
     pub fn run_functional(&mut self, cycles: u64) {
-        let mut batch = L3Batch::new();
         for _ in 0..cycles {
-            for i in 0..self.cores.len() {
-                if batch.remaining() < OPS_PER_WARM_OP {
-                    self.drain_warm_batch(&mut batch);
-                }
-                self.cores[i].warm_op_batched(self.now, &mut batch);
+            for core in &mut self.cores {
+                core.warm_op(self.now, &mut self.l3);
             }
-            self.drain_warm_batch(&mut batch);
             self.now += 1;
         }
         self.l3.quiesce(self.now);
@@ -622,55 +597,17 @@ impl<S: Sink> Cmp<S> {
     fn run_functional_paced(&mut self, cycles: u64) {
         debug_assert!(self.ts.pace_den > 0, "gap must follow a detailed window");
         let den = self.ts.pace_den.max(1);
-        let mut batch = L3Batch::new();
         for _ in 0..cycles {
-            for i in 0..self.cores.len() {
+            for (i, core) in self.cores.iter_mut().enumerate() {
                 self.ts.pace_acc[i] += self.ts.pace_num[i];
                 while self.ts.pace_acc[i] >= den {
                     self.ts.pace_acc[i] -= den;
-                    if batch.remaining() < OPS_PER_WARM_OP {
-                        self.drain_warm_batch(&mut batch);
-                    }
-                    self.cores[i].warm_op_batched(self.now, &mut batch);
+                    core.warm_op(self.now, &mut self.l3);
                 }
-            }
-            self.drain_warm_batch(&mut batch);
-            self.now += 1;
-        }
-        self.l3.quiesce(self.now);
-    }
-
-    /// The one-at-a-time reference warm loop the batched
-    /// [`warm`](Self::warm) is differentially tested (and benchmarked)
-    /// against. Bit-identical results by construction — see `warm` for
-    /// the argument.
-    pub fn warm_reference(&mut self, instructions_per_core: u64) {
-        self.l3.set_adaptation_frozen(true);
-        for _ in 0..instructions_per_core {
-            for core in &mut self.cores {
-                core.warm_op(self.now, &mut self.l3);
             }
             self.now += 1;
         }
         self.l3.quiesce(self.now);
-        self.l3.set_adaptation_frozen(false);
-    }
-
-    /// Walks the queued warm requests through the organization in push
-    /// order and routes each access outcome back to its issuing core.
-    fn drain_warm_batch(&mut self, batch: &mut L3Batch) {
-        for op in batch.ops() {
-            match *op {
-                L3Op::Access { core, addr, write } => {
-                    let out = self.l3.access(core, addr, write, self.now);
-                    self.cores[core.index()].note_l3_outcome(out.source);
-                }
-                L3Op::Writeback { core, addr } => {
-                    self.l3.writeback(core, addr, self.now);
-                }
-            }
-        }
-        batch.clear();
     }
 
     /// Marks the warm-up boundary: all statistics restart here while
@@ -766,7 +703,6 @@ impl<S: Sink> Cmp<S> {
             amean_ipc: arithmetic_mean(&ipc),
             memory: self.l3.memory_stats(),
             quotas: self.l3.as_adaptive().map(|a| a.quotas()),
-            sampling: self.l3.sampling_report(),
             time_sampling: self.time_sampling_report(),
             per_core,
             ipc,
@@ -891,33 +827,90 @@ mod tests {
         assert_eq!(a.per_core, b.per_core);
     }
 
+    /// FNV-1a over an explicit field list of `r`, so that adding a field
+    /// to [`CmpResult`] does not move the digest.
+    fn result_digest(r: &CmpResult) -> u64 {
+        let mut words: Vec<u64> = Vec::new();
+        for (app, s) in &r.per_core {
+            words.extend(app.bytes().map(u64::from));
+            words.extend([
+                s.committed,
+                s.cycles,
+                s.l1i.hits,
+                s.l1i.misses,
+                s.l1d.hits,
+                s.l1d.misses,
+                s.l2.hits,
+                s.l2.misses,
+                s.l3_accesses,
+                s.l3_local_hits,
+                s.l3_remote_hits,
+                s.l3_misses,
+                s.branches,
+                s.mispredicts,
+                s.dtlb_misses,
+                s.itlb_misses,
+            ]);
+        }
+        words.extend(r.ipc.iter().map(|v| v.to_bits()));
+        words.extend([r.hmean_ipc.to_bits(), r.amean_ipc.to_bits()]);
+        words.extend([
+            r.memory.requests,
+            r.memory.total_queue_delay,
+            r.memory.busy_cycles,
+        ]);
+        words.extend(r.quotas.iter().flatten().map(|&q| u64::from(q)));
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        simcore::snapshot::fnv1a64(&bytes)
+    }
+
     #[test]
-    fn batched_warm_matches_one_at_a_time() {
-        // The batched warm drain must evolve core counters, organization
-        // state and the memory channel bit-identically to the reference
-        // one-at-a-time loop, for every organization.
+    fn warm_state_matches_golden_digests() {
+        // Absolute pins on the functional-warm engine: the chip state
+        // right after `warm`, and the result of a timed window on top of
+        // it, for every organization. Any change to warm-path ordering,
+        // L3 request sequencing or counter attribution moves them.
         let cfg = MachineConfig::baseline();
-        for org in [
-            Organization::Private,
-            Organization::Shared,
-            Organization::adaptive(),
-            Organization::Cooperative { seed: 7 },
-        ] {
-            let run = |batched: bool| {
-                let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 13).unwrap();
-                if batched {
-                    cmp.warm(8_000);
-                } else {
-                    cmp.warm_reference(8_000);
-                }
-                // Run a timed window on top so divergence in warmed
-                // architectural state (not just counters) is caught too.
-                cmp.run(6_000);
-                cmp.snapshot()
-            };
-            let batched = run(true);
-            let reference = run(false);
-            assert_eq!(batched, reference, "warm diverged under {}", org.label());
+        let golden: [(Organization, u64, u64); 4] = [
+            (
+                Organization::Private,
+                0x5249_26f7_f7b8_7e9f,
+                0x4eee_fc7b_85fe_44b4,
+            ),
+            (
+                Organization::Shared,
+                0x2962_a49c_405b_f5e4,
+                0xb8bc_8cf8_646e_c3f3,
+            ),
+            (
+                Organization::adaptive(),
+                0xb787_cf6f_ae76_5fb7,
+                0x95cb_c12b_47d4_921c,
+            ),
+            (
+                Organization::Cooperative { seed: 7 },
+                0x3fa6_5aa0_fe7b_a7b1,
+                0x5035_2307_f6ca_139e,
+            ),
+        ];
+        for (org, state_digest, result_digest_want) in golden {
+            let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 13).unwrap();
+            cmp.warm(8_000);
+            let state = simcore::snapshot::fnv1a64(&cmp.save_chip_state().unwrap());
+            cmp.run(6_000);
+            let result = result_digest(&cmp.snapshot());
+            assert_eq!(
+                state,
+                state_digest,
+                "warm state moved under {}",
+                org.label()
+            );
+            assert_eq!(
+                result,
+                result_digest_want,
+                "warmed run moved under {}",
+                org.label()
+            );
         }
     }
 
@@ -950,7 +943,7 @@ mod tests {
 
     #[test]
     fn hit_fast_path_matches_reference_walk_exactly() {
-        // The core-side hit fast path (fused TLB+L1 probe, memos, slab
+        // The core-side hit fast path (fused TLB+L1 probe, memos, warm
         // decode, issue hint) must be bit-identical to the reference
         // walks across warm + detailed + reset + detailed, for every
         // organization, including the chip snapshot encoding.
@@ -991,21 +984,14 @@ mod tests {
     fn snapshot_restore_run_matches_run_through() {
         // The campaign engine's core guarantee: warm, snapshot, restore
         // into a fresh chip, run — bit-identical to warming and running
-        // straight through, for every organization (and the sampled
-        // wrapper).
-        let mut sampled_cfg = MachineConfig::baseline();
-        sampled_cfg.l3.sample_shift = Some(2);
-        let cases = [
-            (MachineConfig::baseline(), Organization::Private),
-            (MachineConfig::baseline(), Organization::Shared),
-            (MachineConfig::baseline(), Organization::adaptive()),
-            (
-                MachineConfig::baseline(),
-                Organization::Cooperative { seed: 7 },
-            ),
-            (sampled_cfg, Organization::adaptive()),
-        ];
-        for (cfg, org) in cases {
+        // straight through, for every organization.
+        let cfg = MachineConfig::baseline();
+        for org in [
+            Organization::Private,
+            Organization::Shared,
+            Organization::adaptive(),
+            Organization::Cooperative { seed: 7 },
+        ] {
             let mix = quick_mix();
             let mut original = Cmp::new(&cfg, org, &mix, 21).unwrap();
             original.warm(6_000);

@@ -49,23 +49,17 @@ pub struct ExperimentConfig {
     /// that keeps the reference stepping loop alive.
     pub cycle_skip: bool,
     /// Whether cores may use the exact hit fast path (fused TLB+L1
-    /// probe, memo-served lookups, slab-decoded traces, issue-scan
+    /// probe, memo-served lookups, warm trace decode, issue-scan
     /// hint). Another execution policy: results are bit-identical
     /// either way (enforced by the differential tests and the CI
     /// fast-path-differential job); `false` is the `--no-fast-path`
     /// escape hatch that keeps the reference walks alive.
     pub fast_path: bool,
-    /// Set-sampled simulation: `Some(k)` simulates `1/2^k` of the
-    /// last-level sets in full detail and charges the rest a calibrated
-    /// latency estimate (see [`crate::l3::SampledL3`]). Unlike `jobs`
-    /// and `cycle_skip` this *is* part of the experiment's identity —
-    /// results are estimates with the confidence bounds carried in
-    /// [`CmpResult::sampling`]. `None` simulates every set.
-    pub sample_shift: Option<u32>,
     /// Time-sampled simulation: `Some((detail, gap))` alternates
     /// `detail` detailed cycles with `gap` functionally warmed cycles
-    /// (see [`Cmp::set_time_sample`]). Part of the experiment's identity
-    /// like `sample_shift`; the accuracy summary lands in
+    /// (see [`Cmp::set_time_sample`]). Unlike `jobs` and `cycle_skip`
+    /// this *is* part of the experiment's identity — results are
+    /// estimates, and the accuracy summary lands in
     /// [`CmpResult::time_sampling`]. `None` (or a zero gap) simulates
     /// every cycle in detail.
     pub time_sample: Option<(u64, u64)>,
@@ -81,7 +75,6 @@ impl Default for ExperimentConfig {
             jobs: 1,
             cycle_skip: true,
             fast_path: true,
-            sample_shift: None,
             time_sample: None,
         }
     }
@@ -98,7 +91,6 @@ impl ExperimentConfig {
             jobs: 1,
             cycle_skip: true,
             fast_path: true,
-            sample_shift: None,
             time_sample: None,
         }
     }
@@ -161,17 +153,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Same experiment with set-sampled simulation: only `1/2^shift` of
-    /// the last-level sets are simulated in full detail (`None` turns
-    /// sampling off).
-    #[must_use]
-    pub fn with_sample_sets(&self, shift: Option<u32>) -> Self {
-        ExperimentConfig {
-            sample_shift: shift,
-            ..*self
-        }
-    }
-
     /// Same experiment with time-sampled simulation: alternate `detail`
     /// detailed cycles with `gap` functionally warmed cycles (`None`
     /// turns time sampling off).
@@ -199,22 +180,15 @@ pub struct MixResult {
 }
 
 /// Section 3's run protocol with an arbitrary sink: warm-up, reset,
-/// measure.
+/// measure. Also returns the chip's fast-path counters for the measured
+/// window.
 fn drive<S: Sink>(
     machine: &MachineConfig,
     org: Organization,
     mix: &Mix,
     exp: &ExperimentConfig,
     sink: S,
-) -> Result<MixResult> {
-    // Sampling is requested per experiment but built per machine: copy
-    // the machine and set the L3 sampling knob so `L3System::build` adds
-    // the estimator wrapper.
-    let mut machine = *machine;
-    if exp.sample_shift.is_some() {
-        machine.l3.sample_shift = exp.sample_shift;
-    }
-    let machine = &machine;
+) -> Result<(MixResult, cpusim::FastPathStats)> {
     let mut cmp = Cmp::new_with_sink(machine, org, mix, exp.seed, sink)?;
     cmp.set_cycle_skip(exp.cycle_skip);
     cmp.set_fast_path(exp.fast_path);
@@ -225,12 +199,15 @@ fn drive<S: Sink>(
     cmp.run(exp.warmup_cycles);
     cmp.reset_stats();
     cmp.run(exp.measure_cycles);
-    Ok(MixResult {
-        mix: mix.clone(),
-        organization: org.label(),
-        result: cmp.snapshot(),
-        trace: None,
-    })
+    Ok((
+        MixResult {
+            mix: mix.clone(),
+            organization: org.label(),
+            result: cmp.snapshot(),
+            trace: None,
+        },
+        cmp.fast_path_stats(),
+    ))
 }
 
 /// The quota vector an adaptive organization starts from (empty for
@@ -266,7 +243,7 @@ pub fn run_mix(
             result.trace = Some(trace);
             Ok(result)
         }
-        None => drive(machine, org, mix, exp, NullSink),
+        None => Ok(drive(machine, org, mix, exp, NullSink)?.0),
     }
 }
 
@@ -286,7 +263,7 @@ pub fn run_mix_traced(
     capacity: usize,
 ) -> Result<(MixResult, Trace)> {
     let recorder = Recorder::with_capacity(capacity);
-    let result = drive(machine, org, mix, exp, recorder.clone())?;
+    let (result, _) = drive(machine, org, mix, exp, recorder.clone())?;
     let meta = TraceMeta {
         org: org.label().to_string(),
         cores: machine.cores,
@@ -314,29 +291,7 @@ pub fn run_mix_instrumented(
     mix: &Mix,
     exp: &ExperimentConfig,
 ) -> Result<(MixResult, cpusim::FastPathStats)> {
-    let mut machine = *machine;
-    if exp.sample_shift.is_some() {
-        machine.l3.sample_shift = exp.sample_shift;
-    }
-    let mut cmp = Cmp::new(&machine, org, mix, exp.seed)?;
-    cmp.set_cycle_skip(exp.cycle_skip);
-    cmp.set_fast_path(exp.fast_path);
-    if let Some((detail, gap)) = exp.time_sample {
-        cmp.set_time_sample(detail, gap);
-    }
-    cmp.warm(exp.warm_instructions);
-    cmp.run(exp.warmup_cycles);
-    cmp.reset_stats();
-    cmp.run(exp.measure_cycles);
-    Ok((
-        MixResult {
-            mix: mix.clone(),
-            organization: org.label(),
-            result: cmp.snapshot(),
-            trace: None,
-        },
-        cmp.fast_path_stats(),
-    ))
+    drive(machine, org, mix, exp, NullSink)
 }
 
 /// One independent cell of an experiment grid: a machine, an

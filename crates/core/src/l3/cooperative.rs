@@ -84,12 +84,6 @@ impl<S: Sink> CooperativeL3<S> {
         self.memory.stats()
     }
 
-    /// The memory channel itself — used by the set-sampling estimator to
-    /// charge phantom line fills so bus congestion stays fully modeled.
-    pub(crate) fn memory_mut(&mut self) -> &mut MainMemory {
-        &mut self.memory
-    }
-
     /// Resets statistics at the warm-up boundary.
     pub fn reset_stats(&mut self) {
         self.stats = CooperativeStats::default();

@@ -22,13 +22,11 @@
 mod adaptive;
 mod cooperative;
 mod private;
-mod sampled;
 mod shared;
 
 pub use adaptive::{AdaptiveL3, AdaptiveStats, OccupancyRow};
 pub use cooperative::{CooperativeL3, CooperativeStats};
 pub use private::PrivateL3;
-pub use sampled::{SampledL3, SamplingReport};
 pub use shared::SharedL3;
 
 use cpusim::l3iface::{L3Outcome, LastLevel};
@@ -104,9 +102,6 @@ pub enum L3System<S: Sink = NullSink> {
     Adaptive(AdaptiveL3<S>),
     /// Cooperative caching.
     Cooperative(CooperativeL3<S>),
-    /// Any of the above behind the set-sampling estimator (built when
-    /// [`simcore::config::L3Config::sample_shift`] is set).
-    Sampled(SampledL3<S>),
 }
 
 impl L3System {
@@ -129,7 +124,7 @@ impl<S: Sink> L3System<S> {
     /// Returns a configuration error if derived geometries are invalid
     /// (e.g. a scaled capacity that is not a power-of-two set count).
     pub fn build_with_sink(org: Organization, cfg: &MachineConfig, sink: S) -> Result<Self> {
-        let built = match org {
+        Ok(match org {
             Organization::Private => {
                 L3System::Private(PrivateL3::with_sink(cfg, cfg.l3.private, sink))
             }
@@ -147,55 +142,22 @@ impl<S: Sink> L3System<S> {
             Organization::Cooperative { seed } => {
                 L3System::Cooperative(CooperativeL3::with_sink(cfg, seed, sink))
             }
-        };
-        Ok(match cfg.l3.sample_shift {
-            Some(shift) => L3System::Sampled(SampledL3::new(Box::new(built), cfg, shift)),
-            None => built,
         })
     }
 
-    /// The adaptive instance, when this system is adaptive (looking
-    /// through the sampling wrapper if present).
+    /// The adaptive instance, when this system is adaptive.
     pub fn as_adaptive(&self) -> Option<&AdaptiveL3<S>> {
         match self {
             L3System::Adaptive(a) => Some(a),
-            L3System::Sampled(s) => s.inner().as_adaptive(),
             _ => None,
         }
     }
 
-    /// The cooperative instance, when this system is cooperative
-    /// (looking through the sampling wrapper if present).
+    /// The cooperative instance, when this system is cooperative.
     pub fn as_cooperative(&self) -> Option<&CooperativeL3<S>> {
         match self {
             L3System::Cooperative(c) => Some(c),
-            L3System::Sampled(s) => s.inner().as_cooperative(),
             _ => None,
-        }
-    }
-
-    /// The set-sampling accuracy report, when sampling is active.
-    pub fn sampling_report(&self) -> Option<SamplingReport> {
-        match self {
-            L3System::Sampled(s) => Some(s.report()),
-            _ => None,
-        }
-    }
-
-    /// Issues a real line fill on the organization's memory bus without
-    /// touching any cache state, returning when the data would arrive.
-    /// The set-sampling estimator charges one of these for every
-    /// estimated access it attributes to memory, so bus occupancy and
-    /// queueing stay fully modeled even though 15/16 of the sets are
-    /// never simulated — without this, sampled runs of bus-bound mixes
-    /// overestimate IPC by integer factors.
-    pub(crate) fn phantom_memory_fill(&mut self, now: Cycle) -> Cycle {
-        match self {
-            L3System::Private(x) => x.memory_mut().request(now, true).data_ready,
-            L3System::Shared(x) => x.memory_mut().request(now, false).data_ready,
-            L3System::Adaptive(x) => x.memory_mut().request(now, false).data_ready,
-            L3System::Cooperative(x) => x.memory_mut().request(now, false).data_ready,
-            L3System::Sampled(x) => x.inner_mut().phantom_memory_fill(now),
         }
     }
 
@@ -206,22 +168,14 @@ impl<S: Sink> L3System<S> {
             L3System::Shared(x) => x.memory_stats(),
             L3System::Adaptive(x) => x.memory_stats(),
             L3System::Cooperative(x) => x.memory_stats(),
-            L3System::Sampled(x) => x.memory_stats(),
         }
     }
 
     /// Freezes or unfreezes adaptive-quota re-evaluation (no-op for
     /// non-adaptive organizations).
     pub fn set_adaptation_frozen(&mut self, frozen: bool) {
-        match self {
-            L3System::Adaptive(a) => a.set_adaptation_frozen(frozen),
-            L3System::Sampled(s) => {
-                // The warm phase's inflated queueing latencies must not
-                // calibrate the estimator either.
-                s.set_calibration_frozen(frozen);
-                s.inner_mut().set_adaptation_frozen(frozen);
-            }
-            _ => {}
+        if let L3System::Adaptive(a) = self {
+            a.set_adaptation_frozen(frozen);
         }
     }
 
@@ -233,7 +187,6 @@ impl<S: Sink> L3System<S> {
             L3System::Shared(x) => x.quiesce(now),
             L3System::Adaptive(x) => x.quiesce(now),
             L3System::Cooperative(x) => x.quiesce(now),
-            L3System::Sampled(x) => x.inner_mut().quiesce(now),
         }
     }
 
@@ -258,10 +211,6 @@ impl<S: Sink> L3System<S> {
                 w.put_u8(3);
                 x.save_state(w);
             }
-            L3System::Sampled(x) => {
-                w.put_u8(4);
-                x.save_state(w);
-            }
         }
     }
 
@@ -284,8 +233,7 @@ impl<S: Sink> L3System<S> {
             (1, L3System::Shared(x)) => x.load_state(r),
             (2, L3System::Adaptive(x)) => x.load_state(r),
             (3, L3System::Cooperative(x)) => x.load_state(r),
-            (4, L3System::Sampled(x)) => x.load_state(r),
-            (0..=4, _) => Err(SnapshotError::Mismatch("L3 organization variant")),
+            (0..=3, _) => Err(SnapshotError::Mismatch("L3 organization variant")),
             _ => Err(SnapshotError::Corrupt("unknown L3 organization tag")),
         }
     }
@@ -297,7 +245,6 @@ impl<S: Sink> L3System<S> {
             L3System::Shared(x) => x.reset_stats(),
             L3System::Adaptive(x) => x.reset_stats(),
             L3System::Cooperative(x) => x.reset_stats(),
-            L3System::Sampled(x) => x.reset_stats(),
         }
     }
 }
@@ -309,7 +256,6 @@ impl<S: Sink> Invariant for L3System<S> {
             L3System::Shared(x) => x.component(),
             L3System::Adaptive(x) => x.component(),
             L3System::Cooperative(x) => x.component(),
-            L3System::Sampled(x) => x.component(),
         }
     }
 
@@ -319,7 +265,6 @@ impl<S: Sink> Invariant for L3System<S> {
             L3System::Shared(x) => x.audit(),
             L3System::Adaptive(x) => x.audit(),
             L3System::Cooperative(x) => x.audit(),
-            L3System::Sampled(x) => x.audit(),
         }
     }
 }
@@ -331,7 +276,6 @@ impl<S: Sink> LastLevel for L3System<S> {
             L3System::Shared(x) => x.access(core, addr, write, now),
             L3System::Adaptive(x) => x.access(core, addr, write, now),
             L3System::Cooperative(x) => x.access(core, addr, write, now),
-            L3System::Sampled(x) => x.access(core, addr, write, now),
         }
     }
 
@@ -341,7 +285,6 @@ impl<S: Sink> LastLevel for L3System<S> {
             L3System::Shared(x) => x.writeback(core, addr, now),
             L3System::Adaptive(x) => x.writeback(core, addr, now),
             L3System::Cooperative(x) => x.writeback(core, addr, now),
-            L3System::Sampled(x) => x.writeback(core, addr, now),
         }
     }
 }

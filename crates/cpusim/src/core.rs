@@ -29,7 +29,7 @@ use tracegen::TraceGenerator;
 
 use crate::branch::BranchPredictor;
 use crate::fastpath::{self, FastPathStats};
-use crate::l3iface::{DirectPort, L3Batch, L3Outcome, L3Source, LastLevel, WarmPort};
+use crate::l3iface::{L3Outcome, L3Source, LastLevel};
 use crate::tlb::Tlb;
 
 /// Number of L2 miss-status registers per core.
@@ -213,12 +213,6 @@ impl<S: Sink> Core<S> {
     /// sequence; results are bit-identical in both modes, so this only
     /// exists as the `--no-fast-path` escape hatch the differential CI
     /// job flips.
-    ///
-    /// Slab (block) decode is deliberately *not* tied to this switch:
-    /// measured on the warm path it costs ~20 ns/op net because decode
-    /// is generate-then-copy — nothing amortizes — so the exact,
-    /// pinned mechanism stays available through
-    /// [`TraceGenerator::set_slab`] but off in production runs.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
         self.itlb.set_memo(enabled);
@@ -401,22 +395,10 @@ impl<S: Sink> Core<S> {
     /// and the last-level organization see the access stream and update
     /// their state, but no pipeline timing is modeled. Used to warm large
     /// working sets cheaply before a timed measurement window, mirroring
-    /// the paper's long fast-forward.
-    pub fn warm_op(&mut self, now: Cycle, l3: &mut dyn LastLevel) {
-        self.warm_op_port(now, &mut DirectPort { l3 });
-    }
-
-    /// [`warm_op`](Self::warm_op) with the L3-bound requests deferred
-    /// into `batch` instead of served immediately. Safe because the warm
-    /// path discards L3 timing and the private L1/L2 hierarchy never
-    /// depends on an L3 outcome; the chip applies the batched outcomes to
-    /// this core's counters via
-    /// [`note_l3_outcome`](Self::note_l3_outcome) when it drains.
-    pub fn warm_op_batched(&mut self, now: Cycle, batch: &mut L3Batch) {
-        self.warm_op_port(now, batch);
-    }
-
-    fn warm_op_port(&mut self, now: Cycle, port: &mut impl WarmPort) {
+    /// the paper's long fast-forward. Generic over the organization so
+    /// the chip's warm loop calls its concrete last level without a
+    /// virtual call per access.
+    pub fn warm_op<L: LastLevel + ?Sized>(&mut self, now: Cycle, l3: &mut L) {
         if self.fast_path {
             // Warm consumers read only pc/class/addr/taken; warm decode
             // skips the dependency-distance math while consuming the
@@ -441,14 +423,14 @@ impl<S: Sink> Core<S> {
             } else {
                 self.fast.inst_slow += u64::from(self.fast_path);
                 // Fused L2 lookup: the install moves ahead of the L3
-                // request, which only touches L3/port state, and the
+                // request, which only touches L3 state, and the
                 // victim's inclusion/writeback handling stays behind
                 // it — so the request order every component sees is
                 // unchanged.
                 let (l2, ev) = self.l2.access_fill(op.pc, false, self.id);
                 if !l2.is_hit() {
-                    self.warm_l3_request(op.pc, false, now, port);
-                    self.finish_l2_victim(ev, port, now);
+                    self.l3_request(op.pc, false, now, l3);
+                    self.finish_l2_victim(ev, l3, now);
                 }
                 self.l1i.fill(op.pc, false, self.id);
             }
@@ -462,34 +444,12 @@ impl<S: Sink> Core<S> {
                 // dropped rather than aborting the run.
                 if let Some(raw) = op.addr {
                     let addr = self.tag_data_address(raw);
-                    self.functional_data_access(addr, op.class == OpClass::Store, now, port);
+                    self.functional_data_access(addr, op.class == OpClass::Store, now, l3);
                 }
             }
             _ => {}
         }
         self.committed += 1;
-    }
-
-    /// Issues a warm-path L3 request through `port`, counting the
-    /// outcome now if the port resolved it (direct) or leaving the count
-    /// to the batch drain (deferred).
-    fn warm_l3_request(&mut self, addr: Address, write: bool, at: Cycle, port: &mut impl WarmPort) {
-        if let Some(outcome) = port.access(self.id, addr, write, at) {
-            self.note_l3_outcome(outcome.source);
-        }
-    }
-
-    /// Applies the source classification of one drained batched request
-    /// to this core's L3 counters — the counterpart of the counting done
-    /// inline on the direct path.
-    #[inline]
-    pub fn note_l3_outcome(&mut self, source: L3Source) {
-        self.l3_accesses += 1;
-        match source {
-            L3Source::LocalHit => self.l3_local_hits += 1,
-            L3Source::RemoteHit => self.l3_remote_hits += 1,
-            L3Source::Memory => self.l3_misses += 1,
-        }
     }
 
     /// Advances the core by one cycle against the given last-level cache.
@@ -812,15 +772,22 @@ impl<S: Sink> Core<S> {
         outcome.data_ready
     }
 
-    fn l3_request(
+    /// Serves an L2 miss from the last level and counts where it was
+    /// satisfied.
+    fn l3_request<L: LastLevel + ?Sized>(
         &mut self,
         addr: Address,
         write: bool,
         at: Cycle,
-        l3: &mut dyn LastLevel,
+        l3: &mut L,
     ) -> L3Outcome {
         let outcome = l3.access(self.id, addr, write, at);
-        self.note_l3_outcome(outcome.source);
+        self.l3_accesses += 1;
+        match outcome.source {
+            L3Source::LocalHit => self.l3_local_hits += 1,
+            L3Source::RemoteHit => self.l3_remote_hits += 1,
+            L3Source::Memory => self.l3_misses += 1,
+        }
         outcome
     }
 
@@ -838,20 +805,16 @@ impl<S: Sink> Core<S> {
     }
 
     fn fill_l2(&mut self, addr: Address, dirty: bool, l3: &mut dyn LastLevel, now: Cycle) {
-        self.fill_l2_port(addr, dirty, &mut DirectPort { l3 }, now);
-    }
-
-    fn fill_l2_port(&mut self, addr: Address, dirty: bool, port: &mut impl WarmPort, now: Cycle) {
         let ev = self.l2.fill(addr, dirty, self.id);
-        self.finish_l2_victim(ev, port, now);
+        self.finish_l2_victim(ev, l3, now);
     }
 
     /// Inclusion maintenance for an L2 eviction: drop the L1 copies and
     /// write the victim back if any copy was dirty.
-    fn finish_l2_victim(
+    fn finish_l2_victim<L: LastLevel + ?Sized>(
         &mut self,
         ev: Option<cachesim::cache::EvictedBlock>,
-        port: &mut impl WarmPort,
+        l3: &mut L,
         now: Cycle,
     ) {
         if let Some(ev) = ev {
@@ -861,7 +824,7 @@ impl<S: Sink> Core<S> {
             let _ = self.l1i.invalidate(victim);
             let victim_dirty = ev.dirty || l1_victim.map(|b| b.dirty).unwrap_or(false);
             if victim_dirty {
-                port.writeback(self.id, victim, now);
+                l3.writeback(self.id, victim, now);
             }
         }
     }
@@ -912,9 +875,7 @@ impl<S: Sink> Core<S> {
             return;
         }
         // The detailed pipeline reads dependency distances: leave warm
-        // decode. The switch collapses any decoded-ahead slab, so every
-        // op fetched here is full-decoded. No-op when already in full
-        // mode (the common case — one flag compare per fetch call).
+        // decode, so every op fetched here is full-decoded.
         self.gen.set_warm_decode(false);
         let width = self.cfg.pipeline.width;
         for _ in 0..width {

@@ -27,22 +27,22 @@ use tracegen::op::OpClass;
 
 use super::Core;
 use crate::fastpath;
-use crate::l3iface::{DirectPort, LastLevel, WarmPort};
+use crate::l3iface::LastLevel;
 
 impl<S: Sink> Core<S> {
     /// Performs one latency-free data access: DTLB, L1D, then (fused
     /// lookup-plus-install) L2, then the last-level organization, with
     /// full state updates and zero timing. The L2 install moves ahead of
-    /// the L3 request — sound because the request only touches L3/port
+    /// the L3 request — sound because the request only touches L3
     /// state — while the victim's inclusion invalidations and writeback
     /// stay behind it, so every component sees the same request order as
     /// the split lookup/fill sequence.
-    pub(super) fn functional_data_access(
+    pub(super) fn functional_data_access<L: LastLevel + ?Sized>(
         &mut self,
         addr: Address,
         write: bool,
         now: Cycle,
-        port: &mut impl WarmPort,
+        l3: &mut L,
     ) {
         // Fast path: one probe per structure with the hit or miss side
         // committed in place — `Tlb::access`/`Cache::access` are exactly
@@ -60,8 +60,8 @@ impl<S: Sink> Core<S> {
             self.fast.data_slow += u64::from(self.fast_path);
             let (l2, ev) = self.l2.access_fill(addr, write, self.id);
             if !l2.is_hit() {
-                self.warm_l3_request(addr, write, now, port);
-                self.finish_l2_victim(ev, port, now);
+                self.l3_request(addr, write, now, l3);
+                self.finish_l2_victim(ev, l3, now);
             }
             self.fill_l1d(addr, write);
         }
@@ -85,11 +85,10 @@ impl<S: Sink> Core<S> {
     /// ring, the branch-redirect gate and the fetch stall. After the
     /// drain [`is_quiescent`](Self::is_quiescent) holds by construction.
     pub fn drain_pipeline(&mut self, now: Cycle, l3: &mut dyn LastLevel) {
-        let mut port = DirectPort { l3 };
         while let Some(e) = self.rob.pop_front() {
             if !e.issued && e.class.is_mem() {
                 if let Some(addr) = e.addr {
-                    self.functional_data_access(addr, e.class == OpClass::Store, now, &mut port);
+                    self.functional_data_access(addr, e.class == OpClass::Store, now, l3);
                 }
             }
             self.committed += 1;
@@ -97,7 +96,7 @@ impl<S: Sink> Core<S> {
         while let Some((op, _)) = self.fetch_queue.pop_front() {
             if op.class.is_mem() {
                 if let Some(addr) = op.addr {
-                    self.functional_data_access(addr, op.class == OpClass::Store, now, &mut port);
+                    self.functional_data_access(addr, op.class == OpClass::Store, now, l3);
                 }
             }
             self.committed += 1;

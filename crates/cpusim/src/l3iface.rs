@@ -44,178 +44,6 @@ pub trait LastLevel {
     fn writeback(&mut self, core: CoreId, addr: Address, now: Cycle);
 }
 
-/// Worst-case deferred L3 ops from one warmed instruction: an I-side
-/// access plus its L2-eviction writeback, and a D-side access plus its
-/// L2-eviction writeback.
-pub const OPS_PER_WARM_OP: usize = 4;
-
-/// Capacity of one [`L3Batch`] — eight cores' worth of one warm
-/// instruction each. The chip warm loop drains whenever fewer than
-/// [`OPS_PER_WARM_OP`] slots remain, so any core count stays in bounds.
-pub const BATCH_CAPACITY: usize = 32;
-
-/// One deferred last-level request collected by the batched warm path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum L3Op {
-    /// An L2 miss (read or write-allocate) by `core`.
-    Access {
-        /// Requesting core.
-        core: CoreId,
-        /// Requested address (already ASID-tagged).
-        addr: Address,
-        /// Whether the access is a write.
-        write: bool,
-    },
-    /// A dirty L2 victim handed down by `core`.
-    Writeback {
-        /// Evicting core.
-        core: CoreId,
-        /// Victim block address.
-        addr: Address,
-    },
-}
-
-const EMPTY_OP: L3Op = L3Op::Writeback {
-    core: CoreId::from_index(0),
-    addr: Address::new(0),
-};
-
-/// A small fixed-size batch of per-core L3 requests due in one warm
-/// cycle.
-///
-/// The functional warm path discards L3 timing (only the outcome
-/// *source* feeds per-core counters), so instead of calling into the
-/// organization once per L2 miss interleaved with private-hierarchy
-/// work, each core appends its requests here and the chip drains the
-/// whole batch through the organization in one pass — tag-array and
-/// quota-bookkeeping lines stay hot across consecutive requests. Entries
-/// are drained in exactly the order they were pushed (core-major, each
-/// access followed by its dependent writeback), which is the same order
-/// the one-at-a-time path used, so the organization's state evolution is
-/// bit-identical; see `nuca_core::cmp` for the proof obligations.
-///
-/// Storage is a fixed-size array: pushing never allocates (lint L7).
-#[derive(Debug)]
-pub struct L3Batch {
-    ops: [L3Op; BATCH_CAPACITY],
-    len: usize,
-}
-
-impl Default for L3Batch {
-    fn default() -> Self {
-        L3Batch::new()
-    }
-}
-
-impl L3Batch {
-    /// Creates an empty batch.
-    #[must_use]
-    pub const fn new() -> Self {
-        L3Batch {
-            ops: [EMPTY_OP; BATCH_CAPACITY],
-            len: 0,
-        }
-    }
-
-    /// Number of queued ops.
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the batch is empty.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Remaining capacity; drain before it drops below
-    /// [`OPS_PER_WARM_OP`].
-    #[inline]
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        BATCH_CAPACITY - self.len
-    }
-
-    /// The queued ops, in push order.
-    #[inline]
-    pub fn ops(&self) -> &[L3Op] {
-        &self.ops[..self.len]
-    }
-
-    /// Clears the batch after a drain.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    #[inline]
-    fn push(&mut self, op: L3Op) {
-        debug_assert!(self.len < BATCH_CAPACITY, "warm batch overflow");
-        self.ops[self.len] = op;
-        self.len += 1;
-    }
-}
-
-/// Where a warming core sends its L3-bound requests: either straight
-/// into the organization (outcome returned now) or into an [`L3Batch`]
-/// (outcome delivered when the chip drains the batch).
-pub trait WarmPort {
-    /// Issues an L2 miss; `Some` when resolved immediately, `None` when
-    /// queued for a later drain.
-    fn access(&mut self, core: CoreId, addr: Address, write: bool, now: Cycle)
-        -> Option<L3Outcome>;
-
-    /// Hands down a dirty L2 victim.
-    fn writeback(&mut self, core: CoreId, addr: Address, now: Cycle);
-}
-
-/// [`WarmPort`] adapter that forwards to a [`LastLevel`] immediately —
-/// the one-at-a-time reference path.
-pub struct DirectPort<'a> {
-    /// The organization served directly.
-    pub l3: &'a mut dyn LastLevel,
-}
-
-impl WarmPort for DirectPort<'_> {
-    #[inline]
-    fn access(
-        &mut self,
-        core: CoreId,
-        addr: Address,
-        write: bool,
-        now: Cycle,
-    ) -> Option<L3Outcome> {
-        Some(self.l3.access(core, addr, write, now))
-    }
-
-    #[inline]
-    fn writeback(&mut self, core: CoreId, addr: Address, now: Cycle) {
-        self.l3.writeback(core, addr, now);
-    }
-}
-
-impl WarmPort for L3Batch {
-    #[inline]
-    fn access(
-        &mut self,
-        core: CoreId,
-        addr: Address,
-        write: bool,
-        _now: Cycle,
-    ) -> Option<L3Outcome> {
-        self.push(L3Op::Access { core, addr, write });
-        None
-    }
-
-    #[inline]
-    fn writeback(&mut self, core: CoreId, addr: Address, _now: Cycle) {
-        self.push(L3Op::Writeback { core, addr });
-    }
-}
-
 /// A fixed-latency, always-hit pseudo-L3 for unit tests and pipeline
 /// micro-benchmarks.
 ///
@@ -275,62 +103,6 @@ impl LastLevel for FixedLatencyL3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_preserves_push_order_and_clears() {
-        let mut b = L3Batch::new();
-        assert!(b.is_empty());
-        let c0 = CoreId::from_index(0);
-        let c1 = CoreId::from_index(1);
-        assert!(b
-            .access(c0, Address::new(0x40), false, Cycle::new(5))
-            .is_none());
-        b.writeback(c0, Address::new(0x80), Cycle::new(5));
-        assert!(b
-            .access(c1, Address::new(0xc0), true, Cycle::new(5))
-            .is_none());
-        assert_eq!(
-            b.ops(),
-            &[
-                L3Op::Access {
-                    core: c0,
-                    addr: Address::new(0x40),
-                    write: false
-                },
-                L3Op::Writeback {
-                    core: c0,
-                    addr: Address::new(0x80)
-                },
-                L3Op::Access {
-                    core: c1,
-                    addr: Address::new(0xc0),
-                    write: true
-                },
-            ]
-        );
-        assert_eq!(b.remaining(), BATCH_CAPACITY - 3);
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.remaining(), BATCH_CAPACITY);
-    }
-
-    #[test]
-    fn direct_port_forwards_and_returns_outcome() {
-        let mut l3 = FixedLatencyL3::new(7);
-        let mut port = DirectPort { l3: &mut l3 };
-        let out = port
-            .access(
-                CoreId::from_index(0),
-                Address::new(0x40),
-                false,
-                Cycle::new(3),
-            )
-            .expect("direct port resolves immediately");
-        assert_eq!(out.data_ready.raw(), 10);
-        port.writeback(CoreId::from_index(0), Address::new(0x80), Cycle::new(3));
-        assert_eq!(l3.accesses(), 1);
-        assert_eq!(l3.writebacks(), 1);
-    }
 
     #[test]
     fn fixed_latency_counts_and_times() {

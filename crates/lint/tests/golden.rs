@@ -117,13 +117,6 @@ fn golden_l1() {
 }
 
 #[test]
-fn golden_l7_batched() {
-    // The batched-L3 and wide-probe hot files (`l3iface.rs`,
-    // `cache.rs`) joined the L7 hot set: any allocation in them fires.
-    golden("l7_batched", &[Rule::L7]);
-}
-
-#[test]
 fn golden_l2() {
     golden("l2", &[Rule::L2]);
 }

@@ -345,13 +345,6 @@ pub struct L3Config {
     pub private: CacheGeometry,
     /// Latency of a hit in a neighboring slice or in the shared partition.
     pub neighbor_latency: u64,
-    /// Set-sampled simulation: `Some(k)` simulates only `1/2^k` of the
-    /// last-level sets in full detail (selected in the shared-geometry
-    /// index frame) and charges accesses to unsampled sets a calibrated
-    /// latency estimate, SMARTS-style. `None` (the default) simulates
-    /// every set; `Some(0)` routes through the sampling wrapper with
-    /// full membership — same results, used by the differential tests.
-    pub sample_shift: Option<u32>,
 }
 
 impl L3Config {
@@ -372,7 +365,6 @@ impl L3Config {
             shared,
             private,
             neighbor_latency: 19,
-            sample_shift: None,
         })
     }
 }
@@ -435,7 +427,6 @@ impl MachineConfig {
             shared: CacheGeometry::checked(4 * 1024 * 1024, 16, 64, 19),
             private: CacheGeometry::checked(1024 * 1024, 4, 64, 14),
             neighbor_latency: 19,
-            sample_shift: None,
         },
         tlb: TlbConfig::TABLE1,
         memory: MemoryConfig::TABLE1,
@@ -506,13 +497,6 @@ impl MachineConfig {
             return Err(ConfigError::new(
                 "private L3 ways times cores must equal shared L3 ways",
             ));
-        }
-        if let Some(shift) = self.l3.sample_shift {
-            if shift >= self.l3.shared.index_bits() {
-                return Err(ConfigError::new(
-                    "L3 sample shift must leave at least one sampled set",
-                ));
-            }
         }
         if self.pipeline.width == 0 || self.pipeline.ruu_size == 0 {
             return Err(ConfigError::new(
@@ -695,7 +679,6 @@ impl MachineConfigBuilder {
                 shared,
                 private,
                 neighbor_latency: self.l3_neighbor_latency,
-                sample_shift: None,
             },
             tlb: self.tlb,
             memory: self.memory,

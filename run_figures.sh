@@ -2,19 +2,12 @@
 # Regenerates every table and figure. Characterization runs that are not
 # sweep grids (Table 1, the cost model, the single-app Figures 3 and 5,
 # and the ablation/parallel extensions) keep their dedicated binaries;
-# every mix-grid experiment (Figures 6-12, sampling accuracy, the
-# screened capacity sweep) runs through the campaign engine from the
+# every mix-grid experiment (Figures 6-12, the screened capacity sweep) runs through the campaign engine from the
 # committed specs under specs/, one JSONL manifest per spec in
 # results/campaign/.
 #
 # JOBS controls the worker-thread count (default: all cores). Manifests
 # and figure outputs are bit-identical for any JOBS value.
-#
-# SAMPLE_SETS (optional) turns on set-sampled simulation everywhere:
-# binaries and campaigns get --sample-sets $SAMPLE_SETS, simulating only
-# 1/2^SAMPLE_SETS of the last-level sets in full detail. Figures become
-# approximations with confidence bounds (DESIGN.md §8) — leave it unset
-# for publication runs. SAMPLE_SETS=0 is bit-identical to unset.
 #
 # TIME_SAMPLE (optional, "detail:gap" cycle counts, e.g. 10000:40000)
 # turns on time-sampled simulation everywhere: binaries and campaigns
@@ -22,7 +15,7 @@
 # functionally warmed gaps (DESIGN.md §8). IPC becomes a SMARTS
 # estimate with confidence bounds — leave it unset for publication
 # runs. A zero gap (e.g. TIME_SAMPLE=10000:0) is bit-identical to
-# unset. Composes with SAMPLE_SETS.
+# unset.
 #
 # TRACE and METRICS_OUT (both optional) turn on telemetry for the
 # characterization binaries: set them to the literal string "results"
@@ -35,13 +28,8 @@ mkdir -p results results/campaign
 JOBS="${JOBS:-$(nproc)}"
 TRACE="${TRACE:-}"
 METRICS_OUT="${METRICS_OUT:-}"
-SAMPLE_SETS="${SAMPLE_SETS:-}"
 TIME_SAMPLE="${TIME_SAMPLE:-}"
 sample=()
-if [ -n "$SAMPLE_SETS" ]; then
-    sample+=(--sample-sets "$SAMPLE_SETS")
-    echo "set sampling on: 1/2^$SAMPLE_SETS of L3 sets simulated"
-fi
 if [ -n "$TIME_SAMPLE" ]; then
     sample+=(--time-sample "$TIME_SAMPLE")
     echo "time sampling on: $TIME_SAMPLE detailed:functional cycle schedule"
@@ -69,7 +57,7 @@ done
 
 echo "running campaigns with --jobs $JOBS"
 for spec in specs/paper.toml specs/fig8.toml specs/fig9.toml \
-            specs/fig10.toml specs/sampling.toml specs/sweep.toml; do
+            specs/fig10.toml specs/sweep.toml; do
     name="$(basename "$spec" .toml)"
     echo "=== campaign $name ==="
     rm -f "results/campaign/$name.jsonl"

@@ -54,18 +54,13 @@ pub struct SimRequest {
     /// `--no-skip` forces the reference stepping loop.
     pub cycle_skip: bool,
     /// Use the exact core-side hit fast path (fused TLB+L1 probe,
-    /// memo-served lookups, slab-decoded traces). Execution policy only:
+    /// memo-served lookups, warm trace decode). Execution policy only:
     /// results are bit-identical either way, and `--no-fast-path` forces
     /// the reference walks.
     pub fast_path: bool,
     /// Worker threads for running the organizations (`0` = one per
     /// available core). Results are bit-identical for every value.
     pub jobs: usize,
-    /// Set-sampled simulation: `Some(k)` simulates `1/2^k` of the L3
-    /// sets fully and estimates the rest (results carry confidence
-    /// bounds); `Some(0)` exercises the estimator wrapper with full
-    /// membership, which is bit-identical to `None`.
-    pub sample_shift: Option<u32>,
     /// Time-sampled simulation: `Some((detail, gap))` alternates
     /// `detail` detailed cycles with `gap` functionally warmed cycles
     /// (results carry SMARTS confidence bounds); a zero gap is
@@ -117,7 +112,7 @@ nuca-sim — simulate a multiprogrammed or parallel workload on a NUCA CMP
 USAGE:
     nuca-sim --org <ORGS> (--apps <A,B,C,D> | --parallel <APP:FRAC:KB>) [OPTIONS]
     nuca-sim campaign <spec.toml> [--out PATH] [--shard K/N] [--resume]
-                      [--jobs N] [--sample-sets K] [--fail-after N]
+                      [--jobs N] [--time-sample D:G] [--fail-after N]
     nuca-sim campaign merge <merged.jsonl> <shard.jsonl>...
 
     The campaign subcommand expands a declarative sweep spec (see
@@ -151,15 +146,9 @@ OPTIONS:
                            slower; exists as a differential check)
     --no-fast-path         disable the exact core-side hit fast path
                            (fused TLB+L1 probe, memo-served lookups,
-                           slab-decoded traces) and run the reference
+                           warm trace decode) and run the reference
                            walks (bit-identical output, slower; exists
                            as a differential check)
-    --sample-sets <K>      simulate only 1/2^K of the L3 sets in full
-                           detail and charge the rest a calibrated
-                           latency estimate (SMARTS-style confidence
-                           bounds are reported; 0 = full membership
-                           through the estimator, bit-identical to
-                           omitting the flag)
     --time-sample <D:G>    alternate D cycle-accurate cycles with G
                            functionally warmed cycles (caches, quotas
                            and predictors stay warm; pipeline timing is
@@ -194,7 +183,6 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
     let mut cycle_skip = true;
     let mut fast_path = true;
     let mut jobs = 1usize;
-    let mut sample_shift: Option<u32> = None;
     let mut time_sample: Option<(u64, u64)> = None;
     let mut trace: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
@@ -241,7 +229,6 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
             "--jobs" => {
                 jobs = simcore::parallel::resolve_jobs(parse_u64(value("--jobs")?)? as usize)
             }
-            "--sample-sets" => sample_shift = Some(parse_u64(value("--sample-sets")?)? as u32),
             "--time-sample" => {
                 let v = value("--time-sample")?;
                 let (d, g) = v
@@ -272,10 +259,6 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
         .build()?;
     if tech_scaled {
         machine = machine.technology_scaled();
-    }
-    if sample_shift.is_some() {
-        machine.l3.sample_shift = sample_shift;
-        machine.validate()?;
     }
 
     let organizations = match org_name.as_deref() {
@@ -342,7 +325,6 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
         cycle_skip,
         fast_path,
         jobs,
-        sample_shift,
         time_sample,
         trace,
         metrics_out,
@@ -527,24 +509,6 @@ pub fn render(req: &SimRequest, org_label: &str, result: &CmpResult) -> String {
     if let Some(q) = &result.quotas {
         let _ = writeln!(out, "quotas       : {q:?}");
     }
-    // Shift 0 (full membership through the estimator) prints nothing, so
-    // its output stays byte-identical to a full run — the e2e
-    // differential test depends on that.
-    if let Some(samp) = &result.sampling {
-        if samp.shift > 0 {
-            let _ = writeln!(
-                out,
-                "sampling     : {}/{} sets (shift {}), {} sampled / {} estimated accesses, mean L3 {:.1} cyc, rel err {:.3}% (95% CI)",
-                samp.sampled_sets,
-                samp.total_sets,
-                samp.shift,
-                samp.sampled_accesses,
-                samp.estimated_accesses,
-                samp.mean_latency,
-                samp.relative_error * 100.0
-            );
-        }
-    }
     // A `None` report (full-detail runs, including a 0-gap schedule)
     // prints nothing, keeping `--time-sample d:0` output byte-identical
     // to a plain run — the e2e differential test depends on that.
@@ -594,42 +558,6 @@ mod tests {
         assert_eq!(req.seed, 2007);
         assert_eq!(req.jobs, 1);
         assert!(req.cycle_skip);
-    }
-
-    #[test]
-    fn parses_sample_sets_and_validates_the_shift() {
-        let req = parse_args(&argv(
-            "--org shared --apps ammp,gzip,crafty,eon --sample-sets 4",
-        ))
-        .unwrap();
-        assert_eq!(req.sample_shift, Some(4));
-        assert_eq!(req.machine.l3.sample_shift, Some(4));
-        let off = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon")).unwrap();
-        assert_eq!(off.sample_shift, None);
-        assert_eq!(off.machine.l3.sample_shift, None);
-        // A shift that leaves no sampled sets is rejected up front.
-        assert!(parse_args(&argv(
-            "--org shared --apps ammp,gzip,crafty,eon --sample-sets 40",
-        ))
-        .is_err());
-    }
-
-    #[test]
-    fn sampled_run_reports_confidence_bounds() {
-        let mut req = parse_args(&argv(
-            "--org adaptive --apps ammp,gzip,crafty,eon --sample-sets 3",
-        ))
-        .unwrap();
-        req.warm_instructions = 60_000;
-        req.warmup_cycles = 5_000;
-        req.measure_cycles = 80_000;
-        let result = run(&req).unwrap();
-        let samp = result.sampling.expect("sampled run carries a report");
-        assert_eq!(samp.shift, 3);
-        assert!(samp.sampled_accesses + samp.estimated_accesses > 0);
-        let text = render(&req, "adaptive", &result);
-        assert!(text.contains("sampling"), "render shows the accuracy line");
-        assert!(text.contains("95% CI"));
     }
 
     #[test]

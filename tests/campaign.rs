@@ -49,10 +49,18 @@ fn run_to(spec: &CampaignSpec, opts: RunOptions) -> nuca_repro::campaign::runner
 #[test]
 fn every_committed_spec_parses_and_renders_to_a_fixed_point() {
     let specs = committed_specs();
-    assert!(
-        specs.len() >= 7,
-        "expected the full committed spec set, found {}",
-        specs.len()
+    let names: Vec<&str> = specs.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "fig10.toml",
+            "fig8.toml",
+            "fig9.toml",
+            "paper.toml",
+            "smoke.toml",
+            "sweep.toml"
+        ],
+        "the committed spec set changed"
     );
     for (name, text) in specs {
         let spec = CampaignSpec::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));

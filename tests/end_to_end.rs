@@ -193,52 +193,6 @@ fn eight_megabyte_l3_reduces_misses() {
 }
 
 #[test]
-fn sample_sets_zero_is_byte_identical_to_a_full_run() {
-    // `--sample-sets 0` means "every set is a member": the estimator
-    // wrapper forwards every access, so both the simulated quantities
-    // and the CLI's rendered report must match a run without the flag
-    // byte for byte (the report prints a sampling line only for a real
-    // shift). This pins the wrapper as a true identity at shift 0.
-    use nuca_repro::cli::{parse_args, render, run};
-    let to_args = |extra: &[&str]| -> Vec<String> {
-        let mut v: Vec<String> = [
-            "--org",
-            "adaptive",
-            "--apps",
-            "ammp,gzip,crafty,mcf",
-            "--warm",
-            "200000",
-            "--warmup",
-            "10000",
-            "--measure",
-            "60000",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        v.extend(extra.iter().map(|s| s.to_string()));
-        v
-    };
-    let full_req = parse_args(&to_args(&[])).unwrap();
-    let samp_req = parse_args(&to_args(&["--sample-sets", "0"])).unwrap();
-    let full = run(&full_req).unwrap();
-    let samp = run(&samp_req).unwrap();
-    assert_eq!(full.per_core, samp.per_core);
-    assert_eq!(full.ipc, samp.ipc);
-    assert_eq!(full.memory, samp.memory);
-    assert_eq!(full.quotas, samp.quotas);
-    let report = samp.sampling.expect("sampled run carries a report");
-    assert_eq!(report.shift, 0);
-    assert_eq!(report.sampled_sets, report.total_sets);
-    assert_eq!(report.estimated_accesses, 0);
-    assert_eq!(
-        render(&full_req, "adaptive", &full),
-        render(&samp_req, "adaptive", &samp),
-        "rendered reports must be byte-identical at shift 0"
-    );
-}
-
-#[test]
 fn cycle_skip_is_invisible_end_to_end() {
     // The event-driven fast path must be a pure execution policy: for
     // every organization, the measured window, the figure-feeding rows
@@ -345,50 +299,8 @@ fn time_sample_zero_gap_is_byte_identical_end_to_end() {
 }
 
 #[test]
-fn time_sampling_composes_with_set_sampling() {
-    // The two sampling dimensions are orthogonal: a run can estimate
-    // over time (detailed windows) and over space (a subset of L3 sets)
-    // at once. Both accuracy reports must be present and consistent,
-    // and the composition must stay deterministic.
-    let machine = MachineConfig::baseline();
-    let run = || {
-        run_mix(
-            &machine,
-            Organization::adaptive(),
-            &mixed(),
-            &exp()
-                .with_sample_sets(Some(2))
-                .with_time_sample(Some((3_000, 9_000))),
-        )
-        .unwrap()
-    };
-    let a = run();
-    let ts = a.result.time_sampling.expect("time-sampling report");
-    let samp = a.result.sampling.expect("set-sampling report");
-    assert_eq!((ts.detail, ts.gap), (3_000, 9_000));
-    assert!(ts.windows >= 2, "the quick window fits several periods");
-    assert_eq!(
-        ts.detailed_cycles + ts.functional_cycles,
-        exp().measure_cycles
-    );
-    assert_eq!(samp.shift, 2);
-    assert!(ts.mean_window_hmean_ipc > 0.0);
-    assert!(a.result.hmean_ipc > 0.0 && a.result.hmean_ipc <= 4.0);
-    // Estimated IPC comes from detailed cycles only: what the windows
-    // committed is a strict subset of the raw counter, which also
-    // counts functional retires.
-    for (i, (_, s)) in a.result.per_core.iter().enumerate() {
-        let detailed_committed = a.result.ipc[i] * ts.detailed_cycles as f64;
-        assert!(detailed_committed > 0.0);
-        assert!(detailed_committed < s.committed as f64);
-    }
-    let b = run();
-    assert_eq!(a.result, b.result, "composition must stay deterministic");
-}
-
-#[test]
 fn no_fast_path_is_invisible_end_to_end() {
-    // The fused TLB+L1 probe, way/page memos, slab decode and pipeline
+    // The fused TLB+L1 probe, way/page memos, warm decode and pipeline
     // bookkeeping bypass are pure search-order optimizations: turning
     // them off with `--no-fast-path` must change nothing — not the
     // measured window, not the byte-rendered telemetry stream, not the

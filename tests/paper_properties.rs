@@ -19,7 +19,6 @@ fn exp() -> ExperimentConfig {
         jobs: 1,
         cycle_skip: true,
         fast_path: true,
-        sample_shift: None,
         time_sample: None,
     }
 }

@@ -574,54 +574,3 @@ proptest! {
         prop_assert_eq!(enc(&|w| fc.save_state(w)), enc(&|w| rc.save_state(w)));
     }
 }
-
-// ---------------------------------------------------------------------
-// Block (slab) trace decode vs the one-at-a-time reference decode.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    #[test]
-    fn slab_decode_equals_one_at_a_time(
-        seed in any::<u64>(),
-        loads in 0.05f64..0.35,
-        stores in 0.02f64..0.15,
-        branches in 0.02f64..0.25,
-        hot_kb in 64u64..2048,
-        skew in 1.0f64..3.0,
-        loop_frac in 0.0f64..1.0,
-        ops in 65usize..300,
-        ff in 0u64..200,
-    ) {
-        // The 64-op decoded slab must be invisible: same op stream, same
-        // logical position, same snapshot — for any profile, any seed,
-        // any fast-forward offset, and op counts that cross slab
-        // boundaries.
-        use nuca_repro::tracegen::profile::AppProfileBuilder;
-        use nuca_repro::tracegen::TraceGenerator;
-        let profile = AppProfileBuilder::new("prop-slab")
-            .loads(loads)
-            .stores(stores)
-            .branches(branches)
-            .hot_kb(hot_kb)
-            .hot_skew(skew)
-            .hot_loop(loop_frac)
-            .build()
-            .unwrap();
-        let mut slab = TraceGenerator::new(&profile, SimRng::seed_from(seed));
-        slab.set_slab(true);
-        let mut one = TraceGenerator::new(&profile, SimRng::seed_from(seed));
-        one.set_slab(false);
-        slab.fast_forward(ff);
-        one.fast_forward(ff);
-        for i in 0..ops {
-            prop_assert_eq!(slab.next_op(), one.next_op(), "op {}", i);
-            prop_assert_eq!(slab.ops_generated(), one.ops_generated());
-        }
-        let enc = |g: &TraceGenerator| {
-            let mut w = nuca_repro::simcore::snapshot::SnapshotWriter::new();
-            g.save_state(&mut w);
-            w.finish()
-        };
-        prop_assert_eq!(enc(&slab), enc(&one));
-    }
-}
