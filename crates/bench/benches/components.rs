@@ -355,49 +355,30 @@ fn bench_functional_window(c: &mut Criterion) {
     });
 }
 
-fn bench_fast_path(c: &mut Criterion) {
-    use cpusim::fastpath::fused_hit;
-    use cpusim::tlb::Tlb;
-    use simcore::config::TlbConfig;
-
-    // The fused TLB+L1 probe on a resident line: the cost of the whole
-    // common-case hit check, directly comparable to `l1d_access_hit`
-    // (which pays the L1 lookup alone).
-    c.bench_function("fused_probe_hit", |b| {
-        let mut tlb = Tlb::new(TlbConfig::default());
-        let geom = CacheGeometry::new(64 * 1024, 2, 64, 3).unwrap();
-        let mut l1 = Cache::new(geom);
-        let addr = Address::new(0x1000);
-        tlb.access(addr);
-        l1.fill(addr, false, CoreId::from_index(0));
-        b.iter(|| fused_hit(black_box(&mut tlb), black_box(&mut l1), addr, false));
-    });
-    // The detailed stepping loop with and without the hit fast path on
-    // the same warmed chip: the gap between these two lines is what the
-    // fused probe + memos + issue hint buy on hit-heavy windows.
+fn bench_core_step_hit(c: &mut Criterion) {
+    // The detailed stepping loop on a warmed chip with every cycle
+    // stepped: the core-side hit path (TLB and L1 accesses served by
+    // their memos) dominates hit-heavy windows.
     let cfg = MachineConfig::baseline();
     let mix = Mix {
         apps: vec![SpecApp::Ammp, SpecApp::Mcf, SpecApp::Swim, SpecApp::Applu],
         forwards: vec![0; 4],
     };
-    for (name, fast) in [("core_step_hit_fast", true), ("core_step_hit_slow", false)] {
-        c.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let mut cmp = Cmp::new(&cfg, Organization::Shared, &mix, 42).unwrap();
-                    cmp.set_cycle_skip(false);
-                    cmp.set_fast_path(fast);
-                    cmp.warm(2_000);
-                    cmp
-                },
-                |mut cmp| {
-                    cmp.run(20_000);
-                    cmp.now()
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
+    c.bench_function("core_step_hit", |b| {
+        b.iter_batched(
+            || {
+                let mut cmp = Cmp::new(&cfg, Organization::Shared, &mix, 42).unwrap();
+                cmp.set_cycle_skip(false);
+                cmp.warm(2_000);
+                cmp
+            },
+            |mut cmp| {
+                cmp.run(20_000);
+                cmp.now()
+            },
+            BatchSize::SmallInput,
+        );
+    });
 }
 
 criterion_group!(
@@ -414,6 +395,6 @@ criterion_group!(
     bench_swar_probe,
     bench_cycle_skip,
     bench_functional_window,
-    bench_fast_path
+    bench_core_step_hit
 );
 criterion_main!(benches);

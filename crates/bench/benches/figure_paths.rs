@@ -23,7 +23,6 @@ fn tiny() -> ExperimentConfig {
         seed: 2007,
         jobs: 1,
         cycle_skip: true,
-        fast_path: true,
         time_sample: None,
     }
 }

@@ -15,7 +15,10 @@ fn main() {
     let tele = nuca_bench::trace_out::TelemetryArgs::parse();
     tele.install();
     let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
+    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+        eprintln!("ablations: {e}");
+        std::process::exit(2);
+    });
     let n = nuca_bench::mix_count().min(6);
 
     let periods: Vec<(String, u64)> = [500u64, 2000, 8000, 32000]

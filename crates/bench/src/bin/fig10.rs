@@ -11,7 +11,10 @@ fn main() {
     let tele = nuca_bench::trace_out::TelemetryArgs::parse();
     tele.install();
     let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
+    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+        eprintln!("fig10: {e}");
+        std::process::exit(2);
+    });
     let r = fig10(&machine, &exp, nuca_bench::mix_count()).expect("figure 10 experiment");
     let mut t = Table::new(
         "Figure 10 — mean harmonic speedup vs private, baseline vs scaled technology",

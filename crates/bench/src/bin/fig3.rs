@@ -11,7 +11,10 @@ fn main() {
     let tele = nuca_bench::trace_out::TelemetryArgs::parse();
     tele.install();
     let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
+    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+        eprintln!("fig3: {e}");
+        std::process::exit(2);
+    });
     let series = fig3(&machine, &exp).expect("figure 3 experiment");
     let mut headers = vec!["app".to_string()];
     headers.extend(FIG3_WAYS.iter().map(|w| format!("{w} blk/set")));

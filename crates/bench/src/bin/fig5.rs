@@ -11,7 +11,10 @@ fn main() {
     let tele = nuca_bench::trace_out::TelemetryArgs::parse();
     tele.install();
     let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
+    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+        eprintln!("fig5: {e}");
+        std::process::exit(2);
+    });
     let mut rows = fig5(&machine, &exp).expect("figure 5 experiment");
     rows.sort_by(|a, b| {
         b.accesses_per_kilocycle

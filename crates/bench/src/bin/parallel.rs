@@ -17,7 +17,10 @@ fn main() {
     let tele = nuca_bench::trace_out::TelemetryArgs::parse();
     tele.install();
     let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
+    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+        eprintln!("parallel: {e}");
+        std::process::exit(2);
+    });
     let orgs = [
         Organization::Private,
         Organization::Shared,

@@ -10,10 +10,6 @@
 //!                           median wall-clock (guards --check-regression
 //!                           against one-off host noise)      [default: 1]
 //!     --no-skip             run with event-driven cycle skipping disabled
-//!     --no-fast-path        run with the exact core-side hit fast path
-//!                           disabled (the control semantics; the
-//!                           fast_path_control section then compares
-//!                           slow against slow)
 //!     --time-sample <D:G>   time-sampling schedule for the time-sampled
 //!                           accuracy pass: D detailed cycles alternating
 //!                           with G functionally warmed cycles
@@ -58,24 +54,23 @@
 //!
 //! Schema v5 adds:
 //!
-//! - a `fast_path_control` section — the serial matrix re-run with the
-//!   exact core-side hit fast path disabled (`--no-fast-path`), the
-//!   same-host same-run control the fast path's speedup claim is
-//!   measured against. Results are asserted bit-identical to the serial
-//!   pass (the exactness contract) and `speedup_vs_control` is the
-//!   honest serial-rate ratio. Both passes honor `--repeat`.
 //! - an `attribution` block — per-organization hit counts and modeled
 //!   demand cycles per level (core vs L1 vs L2 vs L3-local/remote vs
-//!   memory, using the configured latencies), plus the fast-path
-//!   hit-rate counters from an instrumented cell, so the next perf PR
-//!   knows where the remaining bound is.
+//!   memory, using the configured latencies), so the next perf PR knows
+//!   where the remaining bound is.
 //! - a per-organization regression gate: `--check-regression` now also
 //!   compares `serial.per_organization.<org>.sim_cycles_per_second`
 //!   when the reference carries it, so a single-organization regression
 //!   cannot hide inside a flat whole-matrix aggregate.
 //!
-//! Schema v6 (this file) drops the `sampling` section together with the
-//! set-sampled simulation mode it measured.
+//! Schema v6 drops the `sampling` section together with the set-sampled
+//! simulation mode it measured.
+//!
+//! Schema v7 (this file) drops the top-level fast-path flag, the
+//! fast-path control section and the per-organization fast-path
+//! counters under `attribution`, together with the switchable core-side
+//! hit path they measured: there is one hit path, so there is no
+//! control pass to compare against.
 
 // Figure-harness binary: failing fast on experiment errors is intended.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -83,9 +78,7 @@
 use std::time::Instant;
 
 use nuca_bench::json::Json;
-use nuca_core::experiment::{
-    run_cells, run_mix_instrumented, ExperimentConfig, MixResult, SimCell,
-};
+use nuca_core::experiment::{run_cells, ExperimentConfig, MixResult, SimCell};
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
 use tracegen::spec::SpecApp;
@@ -96,7 +89,6 @@ struct Args {
     jobs: usize,
     repeat: usize,
     cycle_skip: bool,
-    fast_path: bool,
     time_sample: (u64, u64),
     max_time_sample_error: Option<f64>,
     out: Option<String>,
@@ -114,7 +106,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         jobs: 0,
         repeat: 1,
         cycle_skip: true,
-        fast_path: true,
         time_sample: (10_000, 40_000),
         max_time_sample_error: None,
         out: None,
@@ -134,10 +125,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 }
             }
             "--no-skip" => args.cycle_skip = false,
-            "--no-fast-path" => args.fast_path = false,
             "--time-sample" => {
                 let v = value("--time-sample")?;
-                args.time_sample = parse_time_sample(&v)
+                args.time_sample = nuca_bench::parse_time_sample(&v)
                     .ok_or_else(|| format!("--time-sample wants D:G with D > 0 (got {v:?})"))?;
             }
             "--max-time-sample-error" => {
@@ -167,18 +157,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 fn parse_count(flag: &str, v: &str) -> Result<usize, String> {
     v.parse()
         .map_err(|_| format!("{flag} wants a non-negative integer (got {v:?})"))
-}
-
-/// Parses a `D:G` schedule; a zero detail with a non-zero gap is
-/// rejected (there would be no windows to measure from).
-fn parse_time_sample(v: &str) -> Option<(u64, u64)> {
-    let (d, g) = v.split_once(':')?;
-    let d = d.trim().parse::<u64>().ok()?;
-    let g = g.trim().parse::<u64>().ok()?;
-    if d == 0 && g > 0 {
-        return None;
-    }
-    Some((d, g))
 }
 
 fn default_out_path() -> std::path::PathBuf {
@@ -220,9 +198,7 @@ fn main() {
     } else {
         (4, ExperimentConfig::default().scaled(20, 100))
     };
-    let exp = exp
-        .with_cycle_skip(args.cycle_skip)
-        .with_fast_path(args.fast_path);
+    let exp = exp.with_cycle_skip(args.cycle_skip);
     let jobs = simcore::parallel::resolve_jobs(args.jobs);
     let orgs = [
         Organization::Private,
@@ -265,16 +241,14 @@ fn main() {
     // not, and one descheduled repeat must not poison the baseline that
     // --check-regression compares against.
     let serial_exp = exp.with_jobs(1);
-    let serial_pass = |pass_exp: &ExperimentConfig, what: &str| {
+    let serial_pass = || {
         let mut results: Vec<MixResult> = Vec::with_capacity(cells.len());
         let mut per_org: Vec<(String, Json)> = Vec::new();
         let mut wall_total = 0.0f64;
         for (i, org) in orgs.iter().enumerate() {
             let slice = &cells[i * mixes.len()..(i + 1) * mixes.len()];
             let t = Instant::now();
-            results.extend(run_cells(slice, pass_exp).unwrap_or_else(|e| {
-                panic!("{what} pass runs: {e}");
-            }));
+            results.extend(run_cells(slice, &serial_exp).expect("serial pass runs"));
             let wall = t.elapsed().as_secs_f64();
             wall_total += wall;
             per_org.push((
@@ -290,51 +264,18 @@ fn main() {
         }
         (results, wall_total, per_org)
     };
-    type SerialRepeat = (Vec<MixResult>, f64, Vec<(String, Json)>);
-    // Median by wall-clock (lower middle for even N — deterministic).
-    let median_of = |mut repeats: Vec<SerialRepeat>| {
-        for r in &repeats[1..] {
-            assert_eq!(
-                r.0, repeats[0].0,
-                "serial repeats must be bit-identical; only wall-clock may vary"
-            );
-        }
-        let mut order: Vec<usize> = (0..repeats.len()).collect();
-        order.sort_by(|&a, &b| repeats[a].1.total_cmp(&repeats[b].1));
-        let winner = order[(order.len() - 1) / 2];
-        (repeats.swap_remove(winner), winner)
-    };
-    // Fast-path control: the identical serial matrix with the exact
-    // core-side hit fast path disabled — the same-host same-run control
-    // the fast path's speedup is measured against, under the same
-    // --repeat median discipline. The exactness contract is asserted,
-    // not assumed: the control must reproduce the serial results bit for
-    // bit.
-    //
-    // The two variants are *interleaved* repeat by repeat, alternating
-    // which goes first within each pair. Back-to-back blocks (all serial
-    // repeats, then all control repeats) measured a 15 % difference on
-    // this harness with bit-identical binaries in both blocks — whatever
-    // runs first is systematically slower (frequency ramp / scheduler
-    // drift), which is larger than the effect under test. Alternation
-    // cancels monotone drift from the pair medians.
-    let control_exp = serial_exp.with_fast_path(false);
-    let mut repeats: Vec<SerialRepeat> = Vec::with_capacity(args.repeat);
-    let mut control_repeats: Vec<SerialRepeat> = Vec::with_capacity(args.repeat);
-    for r in 0..args.repeat {
-        if r % 2 == 0 {
-            repeats.push(serial_pass(&serial_exp, "serial"));
-            control_repeats.push(serial_pass(&control_exp, "fast-path control"));
-        } else {
-            control_repeats.push(serial_pass(&control_exp, "fast-path control"));
-            repeats.push(serial_pass(&serial_exp, "serial"));
-        }
+    let mut repeats: Vec<_> = (0..args.repeat).map(|_| serial_pass()).collect();
+    for r in &repeats[1..] {
+        assert_eq!(
+            r.0, repeats[0].0,
+            "serial repeats must be bit-identical; only wall-clock may vary"
+        );
     }
-    let ((serial, serial_wall, per_org), winning_repeat) = median_of(repeats);
-    let ((control, control_wall, _), _) = median_of(control_repeats);
-    let control_identical = control == serial;
-    let fast_path_speedup = control_wall / serial_wall.max(1e-9);
-
+    // Median by wall-clock (lower middle for even N — deterministic).
+    let mut order: Vec<usize> = (0..repeats.len()).collect();
+    order.sort_by(|&a, &b| repeats[a].1.total_cmp(&repeats[b].1));
+    let winning_repeat = order[(order.len() - 1) / 2];
+    let (serial, serial_wall, per_org) = repeats.swap_remove(winning_repeat);
     let parallel_exp = exp.with_jobs(jobs);
     let t1 = Instant::now();
     let parallel = run_cells(&cells, &parallel_exp).expect("parallel pass runs");
@@ -365,9 +306,7 @@ fn main() {
     // organization, as raw hit counts from the measured windows and as
     // modeled demand cycles (count x configured latency), so the next
     // perf PR knows whether the bound is the core, a cache level or
-    // memory. The fast-path hit-rate counters come from one instrumented
-    // cell per organization (the first mix; counters are a side channel,
-    // the cell's results are bit-identical to the serial pass's).
+    // memory.
     let attribution: Vec<(String, Json)> = orgs
         .iter()
         .enumerate()
@@ -419,8 +358,6 @@ fn main() {
                     )
                 })
                 .collect();
-            let (_, fast) = run_mix_instrumented(&machine, org, &mixes[0], &serial_exp)
-                .expect("instrumented cell runs");
             (
                 org.label().to_string(),
                 Json::Obj(vec![
@@ -438,22 +375,6 @@ fn main() {
                     ),
                     ("modeled_cycles".into(), Json::Obj(modeled)),
                     ("share".into(), Json::Obj(shares)),
-                    (
-                        "fast_path".into(),
-                        Json::Obj(vec![
-                            (
-                                "data_fast_hits".into(),
-                                Json::num(fast.data_fast_hits as f64),
-                            ),
-                            ("data_slow".into(), Json::num(fast.data_slow as f64)),
-                            (
-                                "inst_fast_hits".into(),
-                                Json::num(fast.inst_fast_hits as f64),
-                            ),
-                            ("inst_slow".into(), Json::num(fast.inst_slow as f64)),
-                            ("fast_fraction".into(), Json::num(fast.fast_fraction())),
-                        ]),
-                    ),
                 ]),
             )
         })
@@ -507,20 +428,8 @@ fn main() {
     ));
     time_sampling_json.push(("max_rel_error_hmean_ipc".into(), Json::num(ts_max_err)));
     time_sampling_json.push(("mean_rel_error_hmean_ipc".into(), Json::num(ts_mean_err)));
-    let fast_path_control_json = vec![
-        ("wall_seconds".to_string(), Json::num(control_wall)),
-        (
-            "sim_cycles_per_second".to_string(),
-            Json::num(total_sim_cycles as f64 / control_wall.max(1e-9)),
-        ),
-        (
-            "speedup_vs_control".to_string(),
-            Json::num(fast_path_speedup),
-        ),
-        ("identical".to_string(), Json::Bool(control_identical)),
-    ];
     let doc = Json::Obj(vec![
-        ("schema_version".into(), Json::num(6.0)),
+        ("schema_version".into(), Json::num(7.0)),
         ("bench".into(), Json::str("nuca-bench perf")),
         ("quick".into(), Json::Bool(args.quick)),
         (
@@ -547,12 +456,7 @@ fn main() {
         ("host".into(), pass("cores", host_cores as u64)),
         ("jobs".into(), Json::num(jobs as f64)),
         ("cycle_skip".into(), Json::Bool(args.cycle_skip)),
-        ("fast_path".into(), Json::Bool(args.fast_path)),
         ("serial".into(), Json::Obj(serial_json)),
-        (
-            "fast_path_control".into(),
-            Json::Obj(fast_path_control_json),
-        ),
         ("parallel".into(), Json::Obj(rate(parallel_wall))),
         ("speedup".into(), speedup_json),
         ("time_sampling".into(), Json::Obj(time_sampling_json)),
@@ -583,18 +487,9 @@ fn main() {
         ts_mean_err * 100.0
     );
 
-    eprintln!(
-        "perf: fast-path control {control_wall:.2}s, fast path {fast_path_speedup:.2}x \
-         vs control, identical={control_identical}"
-    );
-
     let mut failed = false;
     if !deterministic {
         eprintln!("perf: FAIL — parallel results differ from serial results");
-        failed = true;
-    }
-    if !control_identical {
-        eprintln!("perf: FAIL — --no-fast-path control results differ from serial results");
         failed = true;
     }
 
@@ -751,12 +646,12 @@ mod tests {
     #[test]
     fn well_formed_flags_parse() {
         let args = parse(
-            "--quick --jobs 2 --repeat 3 --no-skip --no-fast-path --time-sample 500:2000 \
+            "--quick --jobs 2 --repeat 3 --no-skip --time-sample 500:2000 \
              --max-time-sample-error 10.5 --out o.json --check-schema s.json \
              --check-regression r.json",
         )
         .unwrap();
-        assert!(args.quick && !args.cycle_skip && !args.fast_path);
+        assert!(args.quick && !args.cycle_skip);
         assert_eq!((args.jobs, args.repeat), (2, 3));
         assert_eq!(args.time_sample, (500, 2_000));
         assert_eq!(args.max_time_sample_error, Some(10.5));

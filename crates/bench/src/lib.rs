@@ -22,7 +22,9 @@
 //! Independent simulation cells run on worker threads (see
 //! `simcore::parallel`); every figure binary accepts `--jobs N` on its
 //! command line (or `NUCA_BENCH_JOBS=N`; `0` = one per core, the
-//! default). Results are bit-identical for every jobs value.
+//! default) and `--time-sample D:G` (or `NUCA_BENCH_TIME_SAMPLE`).
+//! Results are bit-identical for every jobs value. A malformed value
+//! exits 2 with a message (see [`parse_flags`]).
 //!
 //! Every binary also accepts `--trace <path>` and `--metrics-out <path>`
 //! (or the `TRACE` / `METRICS_OUT` environment variables) to export the
@@ -37,8 +39,17 @@ pub mod trace_out;
 use nuca_core::experiment::ExperimentConfig;
 
 /// Reads the experiment configuration honoring `NUCA_BENCH_SCALE` and
-/// the `--jobs` flag / `NUCA_BENCH_JOBS` variable.
-pub fn experiment_config() -> ExperimentConfig {
+/// the execution flags [`parse_flags`] reads from the command line and
+/// the environment.
+///
+/// # Errors
+///
+/// A message naming the flag or variable when a `--jobs` /
+/// `--time-sample` value (or its environment variable) is malformed.
+/// Figure binaries print it and exit 2 instead of silently running a
+/// different experiment.
+pub fn experiment_config() -> Result<ExperimentConfig, String> {
+    let flags = parse_flags(std::env::args().skip(1), |k| std::env::var(k).ok())?;
     let base = ExperimentConfig::default();
     let base = match std::env::var("NUCA_BENCH_SCALE")
         .ok()
@@ -47,82 +58,93 @@ pub fn experiment_config() -> ExperimentConfig {
         Some(pct) if pct > 0 && pct != 100 => base.scaled(pct, 100),
         _ => base,
     };
-    base.with_jobs(jobs())
-        .with_fast_path(fast_path())
-        .with_time_sample(time_sample())
+    Ok(base
+        .with_jobs(flags.jobs)
+        .with_time_sample(flags.time_sample))
 }
 
-/// Worker-thread count for simulation grids: `--jobs N` on the command
-/// line beats `NUCA_BENCH_JOBS`, which beats "auto" (`0`, one worker
-/// per available core). Every figure binary shares this parsing, so the
-/// whole harness is driven the same way.
-pub fn jobs() -> usize {
-    let mut argv = std::env::args().skip(1);
-    let mut requested = None;
-    while let Some(arg) = argv.next() {
+/// Execution flags shared by every figure binary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BenchFlags {
+    /// Worker threads for simulation grids (`0` = one per available
+    /// core).
+    pub jobs: usize,
+    /// Time-sampling schedule `(detail, gap)`; `None` simulates every
+    /// cycle in detail.
+    pub time_sample: Option<(u64, u64)>,
+}
+
+/// Parses the shared execution flags from `args` (without `argv[0]`),
+/// with `env` looking up environment variables:
+///
+/// - `--jobs N` / `--jobs=N` beats `NUCA_BENCH_JOBS`, which beats
+///   "auto" (`0`, one worker per available core);
+/// - `--time-sample D:G` / `--time-sample=D:G` (D detailed cycles
+///   alternating with G functionally warmed cycles) beats
+///   `NUCA_BENCH_TIME_SAMPLE`; absent both, every cycle is simulated in
+///   detail. A zero gap (`D:0`) is byte-identical to no time sampling.
+///
+/// Other arguments belong to the binary (e.g. `--trace`) and are
+/// skipped.
+///
+/// # Errors
+///
+/// A message naming the flag or variable when a value is missing or
+/// malformed — including `0:G`, which has no detailed cycles to measure
+/// IPC from.
+pub fn parse_flags(
+    args: impl IntoIterator<Item = String>,
+    env: impl Fn(&str) -> Option<String>,
+) -> Result<BenchFlags, String> {
+    fn jobs(what: &str, v: &str) -> Result<usize, String> {
+        v.trim()
+            .parse()
+            .map_err(|_| format!("{what} wants a non-negative integer (got {v:?})"))
+    }
+    fn schedule(what: &str, v: &str) -> Result<(u64, u64), String> {
+        parse_time_sample(v).ok_or_else(|| format!("{what} wants D:G with D > 0 (got {v:?})"))
+    }
+    let mut requested_jobs = None;
+    let mut time_sample = None;
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         if arg == "--jobs" {
-            requested = argv.next().and_then(|v| v.parse::<usize>().ok());
+            requested_jobs = Some(jobs("--jobs", &value("--jobs")?)?);
         } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            requested = v.parse::<usize>().ok();
-        }
-    }
-    let requested = requested.or_else(|| {
-        std::env::var("NUCA_BENCH_JOBS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-    });
-    simcore::parallel::resolve_jobs(requested.unwrap_or(0))
-}
-
-/// Whether the exact core-side hit fast path is enabled:
-/// `--no-fast-path` on the command line or `NUCA_BENCH_FAST_PATH=0`
-/// turns it off, forcing the reference TLB/L1 walks and one-at-a-time
-/// trace decode. Results are bit-identical either way (the CI
-/// fast-path-differential job enforces it); the escape hatch mirrors
-/// `--no-skip`. Shared by every figure binary and `perf`, like [`jobs`].
-pub fn fast_path() -> bool {
-    if std::env::args().skip(1).any(|arg| arg == "--no-fast-path") {
-        return false;
-    }
-    !matches!(
-        std::env::var("NUCA_BENCH_FAST_PATH").ok().as_deref(),
-        Some("0") | Some("off") | Some("false")
-    )
-}
-
-/// Time-sampling schedule for simulation grids: `--time-sample D:G` on
-/// the command line (D detailed cycles alternating with G functionally
-/// warmed cycles) beats `NUCA_BENCH_TIME_SAMPLE`; absent both, every
-/// cycle is simulated in detail. A zero gap (`D:0`) is byte-identical
-/// to no time sampling. Shared by every figure binary and `perf`, like
-/// [`jobs`]. Malformed schedules — including `0:G`,
-/// which has no detailed cycles to measure IPC from — are ignored like
-/// any other malformed bench flag, leaving the run at full detail.
-pub fn time_sample() -> Option<(u64, u64)> {
-    fn parse(v: &str) -> Option<(u64, u64)> {
-        let (d, g) = v.split_once(':')?;
-        let d = d.trim().parse::<u64>().ok()?;
-        let g = g.trim().parse::<u64>().ok()?;
-        if d == 0 && g > 0 {
-            return None;
-        }
-        Some((d, g))
-    }
-    let mut argv = std::env::args().skip(1);
-    let mut requested = None;
-    while let Some(arg) = argv.next() {
-        if arg == "--time-sample" {
-            requested = argv.next().as_deref().and_then(parse);
+            requested_jobs = Some(jobs("--jobs", v)?);
+        } else if arg == "--time-sample" {
+            time_sample = Some(schedule("--time-sample", &value("--time-sample")?)?);
         } else if let Some(v) = arg.strip_prefix("--time-sample=") {
-            requested = parse(v);
+            time_sample = Some(schedule("--time-sample", v)?);
         }
     }
-    requested.or_else(|| {
-        std::env::var("NUCA_BENCH_TIME_SAMPLE")
-            .ok()
-            .as_deref()
-            .and_then(parse)
+    if requested_jobs.is_none() {
+        requested_jobs = env("NUCA_BENCH_JOBS")
+            .map(|v| jobs("NUCA_BENCH_JOBS", &v))
+            .transpose()?;
+    }
+    if time_sample.is_none() {
+        time_sample = env("NUCA_BENCH_TIME_SAMPLE")
+            .map(|v| schedule("NUCA_BENCH_TIME_SAMPLE", &v))
+            .transpose()?;
+    }
+    Ok(BenchFlags {
+        jobs: requested_jobs.unwrap_or(0),
+        time_sample,
     })
+}
+
+/// Parses a `D:G` time-sampling schedule; a zero detail with a non-zero
+/// gap is rejected (there would be no windows to measure from).
+pub fn parse_time_sample(v: &str) -> Option<(u64, u64)> {
+    let (d, g) = v.split_once(':')?;
+    let d = d.trim().parse::<u64>().ok()?;
+    let g = g.trim().parse::<u64>().ok()?;
+    if d == 0 && g > 0 {
+        return None;
+    }
+    Some((d, g))
 }
 
 /// Reads the per-figure mix count honoring `NUCA_BENCH_MIXES`.
@@ -138,10 +160,63 @@ pub fn mix_count() -> usize {
 mod tests {
     use super::*;
 
+    fn flags(line: &str, env: &[(&str, &str)]) -> Result<BenchFlags, String> {
+        let env: Vec<(String, String)> = env
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        parse_flags(line.split_whitespace().map(String::from), |k| {
+            env.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone())
+        })
+    }
+
+    #[test]
+    fn well_formed_flags_parse_and_beat_the_environment() {
+        let none = flags("", &[]).unwrap();
+        assert_eq!((none.jobs, none.time_sample), (0, None));
+        let f = flags("--trace t.jsonl --jobs 3 --time-sample 10000:40000", &[]).unwrap();
+        assert_eq!((f.jobs, f.time_sample), (3, Some((10_000, 40_000))));
+        let f = flags("--jobs=2 --time-sample=5:0", &[]).unwrap();
+        assert_eq!((f.jobs, f.time_sample), (2, Some((5, 0))));
+        let env = [
+            ("NUCA_BENCH_JOBS", "4"),
+            ("NUCA_BENCH_TIME_SAMPLE", "100:400"),
+        ];
+        let f = flags("", &env).unwrap();
+        assert_eq!((f.jobs, f.time_sample), (4, Some((100, 400))));
+        let f = flags("--jobs 1 --time-sample 7:8", &env).unwrap();
+        assert_eq!((f.jobs, f.time_sample), (1, Some((7, 8))));
+    }
+
+    #[test]
+    fn malformed_flags_are_errors_not_defaults() {
+        for (line, env, what) in [
+            ("--time-sample 10000:4000O", None, "--time-sample"),
+            ("--time-sample=0:40", None, "--time-sample"),
+            ("--time-sample 5000", None, "--time-sample"),
+            ("--time-sample", None, "--time-sample"),
+            ("--jobs x", None, "--jobs"),
+            ("--jobs=-1", None, "--jobs"),
+            ("--jobs", None, "--jobs"),
+            ("", Some(("NUCA_BENCH_JOBS", "x")), "NUCA_BENCH_JOBS"),
+            (
+                "",
+                Some(("NUCA_BENCH_TIME_SAMPLE", "10000:4000O")),
+                "NUCA_BENCH_TIME_SAMPLE",
+            ),
+        ] {
+            let env: Vec<(&str, &str)> = env.into_iter().collect();
+            let err = flags(line, &env)
+                .err()
+                .unwrap_or_else(|| panic!("`{line}` {env:?} parsed"));
+            assert!(err.contains(what), "`{line}` {env:?}: `{err}` names {what}");
+        }
+    }
+
     #[test]
     fn default_config_is_full_scale() {
         // The env var is not set under `cargo test`.
-        let exp = experiment_config();
+        let exp = experiment_config().unwrap();
         assert!(exp.measure_cycles >= 1_000_000);
         assert!(mix_count() >= 1);
     }

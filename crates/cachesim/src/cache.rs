@@ -105,11 +105,8 @@ pub struct Cache {
     /// hit answers `find` without walking the set; because a set never
     /// holds duplicate block addresses (see [`Invariant::audit`]), the
     /// memo'd way and the walk always agree — pure search-order
-    /// optimization, like the SWAR filter one level down. Maintained
-    /// unconditionally; *read* only when `memo_on`.
+    /// optimization, like the SWAR filter one level down.
     memo: Vec<u8>,
-    /// Whether `find` consults the last-hit-way memo (the fast path).
-    memo_on: bool,
     stats: HitMiss,
     writebacks: u64,
 }
@@ -130,18 +127,15 @@ impl Cache {
             filter: TagFilter::new(sets, ways),
             wide: ways >= WIDE_PROBE_MIN_WAYS,
             memo: vec![0; sets], // lint:allow(L7): constructor
-            memo_on: true,
             stats: HitMiss::new(),
             writebacks: 0,
         }
     }
 
-    /// Enables or disables the last-hit-way memo read in lookups (the
-    /// `--no-fast-path` escape hatch). The memo keeps being maintained
-    /// either way, so toggling needs no rebuild; results are identical
-    /// in both modes.
-    pub fn set_memo(&mut self, enabled: bool) {
-        self.memo_on = enabled;
+    /// Empties the last-hit-way memo, so the next lookup walks the set.
+    #[cfg(test)]
+    fn clear_memo(&mut self) {
+        self.memo.fill(0);
     }
 
     /// The cache geometry.
@@ -166,13 +160,11 @@ impl Cache {
     #[inline]
     fn find(&self, set: usize, blk: BlockAddr) -> Option<usize> {
         let base = set * self.ways;
-        if self.memo_on {
-            let m = self.memo[set];
-            if m != 0 {
-                let w = usize::from(m - 1);
-                if self.valid[set] & (1 << w) != 0 && self.tags[base + w] == blk {
-                    return Some(w);
-                }
+        let m = self.memo[set];
+        if m != 0 {
+            let w = usize::from(m - 1);
+            if self.valid[set] & (1 << w) != 0 && self.tags[base + w] == blk {
+                return Some(w);
             }
         }
         let mut m = self.valid[set];
@@ -217,10 +209,10 @@ impl Cache {
         self.find(self.set_index(addr), blk).is_some()
     }
 
-    /// Non-mutating hit probe for the fused TLB+L1 fast path: the way
-    /// holding `addr`, if resident. No recency, dirty, memo or statistic
-    /// update — pair with [`commit_hit_at`](Self::commit_hit_at) once the
-    /// fused probe has decided the whole access goes through.
+    /// Non-mutating hit probe for the fused TLB+L1 functional walk: the
+    /// way holding `addr`, if resident. No recency, dirty, memo or
+    /// statistic update — pair with [`commit_hit_at`](Self::commit_hit_at)
+    /// on a hit or [`note_miss`](Self::note_miss) on a miss.
     #[inline]
     pub fn peek_hit_way(&self, addr: Address) -> Option<usize> {
         let blk = addr.block(self.geom.offset_bits());
@@ -717,14 +709,17 @@ mod tests {
         // The last-hit-way memo is a pure search-order optimization: a
         // random access/fill/invalidate workload must produce identical
         // lookups, evictions, statistics and snapshots with the memo
-        // read on and off.
+        // kept and with it cleared before every operation (a cleared memo
+        // forces the reference walk of the set).
         use simcore::rng::SimRng;
         let run = |memo: bool| {
             let mut rng = SimRng::seed_from(7);
             let mut c = Cache::new(CacheGeometry::new(4096, 4, 64, 1).unwrap());
-            c.set_memo(memo);
             let mut log = Vec::new();
             for _ in 0..20_000 {
+                if !memo {
+                    c.clear_memo();
+                }
                 let a = Address::new(rng.below(1 << 13));
                 let write = rng.chance(0.3);
                 match rng.below(10) {

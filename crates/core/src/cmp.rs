@@ -236,7 +236,9 @@ impl<S: Sink> Cmp<S> {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the profile count does not match the
-    /// machine's core count or the organization cannot be built.
+    /// machine's core count, a profile fails
+    /// [`AppProfile::validate`](tracegen::AppProfile::validate), or the
+    /// organization cannot be built.
     pub fn with_profiles_and_sink<P: Borrow<tracegen::AppProfile>>(
         cfg: &MachineConfig,
         org: Organization,
@@ -252,6 +254,9 @@ impl<S: Sink> Cmp<S> {
                 forwards.len(),
                 cfg.cores
             )));
+        }
+        for profile in profiles {
+            profile.borrow().validate()?;
         }
         let mut root = SimRng::seed_from(seed);
         let cores: Vec<Core<S>> = profiles
@@ -295,17 +300,7 @@ impl<S: Sink> Cmp<S> {
         self.cycle_skip
     }
 
-    /// Enables or disables the exact core-side hit fast path (fused
-    /// TLB+L1 probe, memo-served lookups, warm trace decode, issue-scan
-    /// hint) on every core. Results are bit-identical either way; this is
-    /// the `--no-fast-path` escape hatch the differential CI job flips.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        for core in &mut self.cores {
-            core.set_fast_path(enabled);
-        }
-    }
-
-    /// Chip-wide fast-path effectiveness counters (perf attribution side
+    /// Chip-wide functional-walk outcome counters (perf attribution side
     /// channel; never part of results, traces or snapshots).
     pub fn fast_path_stats(&self) -> cpusim::FastPathStats {
         let mut total = cpusim::FastPathStats::default();
@@ -938,45 +933,6 @@ mod tests {
             let fast = run(true);
             let reference = run(false);
             assert_eq!(fast, reference, "skip diverged under {}", org.label());
-        }
-    }
-
-    #[test]
-    fn hit_fast_path_matches_reference_walk_exactly() {
-        // The core-side hit fast path (fused TLB+L1 probe, memos, warm
-        // decode, issue hint) must be bit-identical to the reference
-        // walks across warm + detailed + reset + detailed, for every
-        // organization, including the chip snapshot encoding.
-        let cfg = MachineConfig::baseline();
-        for org in [
-            Organization::Private,
-            Organization::Shared,
-            Organization::adaptive(),
-            Organization::Cooperative { seed: 7 },
-        ] {
-            let run = |fast: bool| {
-                let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 19).unwrap();
-                cmp.set_fast_path(fast);
-                cmp.warm(5_000);
-                cmp.run(8_000);
-                cmp.reset_stats();
-                cmp.run(12_000);
-                (cmp.snapshot(), cmp.fast_path_stats())
-            };
-            let (fast, counters) = run(true);
-            let (reference, off_counters) = run(false);
-            assert_eq!(fast, reference, "fast path diverged under {}", org.label());
-            assert!(
-                counters.data_fast_hits > 0,
-                "fast path never fired under {}",
-                org.label()
-            );
-            assert_eq!(
-                off_counters.data_fast_hits + off_counters.inst_fast_hits,
-                0,
-                "disabled fast path fired under {}",
-                org.label()
-            );
         }
     }
 

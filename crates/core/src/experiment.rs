@@ -48,13 +48,6 @@ pub struct ExperimentConfig {
     /// skip-equivalence job); `false` is the `--no-skip` escape hatch
     /// that keeps the reference stepping loop alive.
     pub cycle_skip: bool,
-    /// Whether cores may use the exact hit fast path (fused TLB+L1
-    /// probe, memo-served lookups, warm trace decode, issue-scan
-    /// hint). Another execution policy: results are bit-identical
-    /// either way (enforced by the differential tests and the CI
-    /// fast-path-differential job); `false` is the `--no-fast-path`
-    /// escape hatch that keeps the reference walks alive.
-    pub fast_path: bool,
     /// Time-sampled simulation: `Some((detail, gap))` alternates
     /// `detail` detailed cycles with `gap` functionally warmed cycles
     /// (see [`Cmp::set_time_sample`]). Unlike `jobs` and `cycle_skip`
@@ -74,7 +67,6 @@ impl Default for ExperimentConfig {
             seed: 2007,
             jobs: 1,
             cycle_skip: true,
-            fast_path: true,
             time_sample: None,
         }
     }
@@ -90,7 +82,6 @@ impl ExperimentConfig {
             seed: 2007,
             jobs: 1,
             cycle_skip: true,
-            fast_path: true,
             time_sample: None,
         }
     }
@@ -143,16 +134,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Same experiment with the exact core-side hit fast path enabled or
-    /// disabled.
-    #[must_use]
-    pub fn with_fast_path(&self, enabled: bool) -> Self {
-        ExperimentConfig {
-            fast_path: enabled,
-            ..*self
-        }
-    }
-
     /// Same experiment with time-sampled simulation: alternate `detail`
     /// detailed cycles with `gap` functionally warmed cycles (`None`
     /// turns time sampling off).
@@ -180,18 +161,16 @@ pub struct MixResult {
 }
 
 /// Section 3's run protocol with an arbitrary sink: warm-up, reset,
-/// measure. Also returns the chip's fast-path counters for the measured
-/// window.
+/// measure.
 fn drive<S: Sink>(
     machine: &MachineConfig,
     org: Organization,
     mix: &Mix,
     exp: &ExperimentConfig,
     sink: S,
-) -> Result<(MixResult, cpusim::FastPathStats)> {
+) -> Result<MixResult> {
     let mut cmp = Cmp::new_with_sink(machine, org, mix, exp.seed, sink)?;
     cmp.set_cycle_skip(exp.cycle_skip);
-    cmp.set_fast_path(exp.fast_path);
     if let Some((detail, gap)) = exp.time_sample {
         cmp.set_time_sample(detail, gap);
     }
@@ -199,15 +178,12 @@ fn drive<S: Sink>(
     cmp.run(exp.warmup_cycles);
     cmp.reset_stats();
     cmp.run(exp.measure_cycles);
-    Ok((
-        MixResult {
-            mix: mix.clone(),
-            organization: org.label(),
-            result: cmp.snapshot(),
-            trace: None,
-        },
-        cmp.fast_path_stats(),
-    ))
+    Ok(MixResult {
+        mix: mix.clone(),
+        organization: org.label(),
+        result: cmp.snapshot(),
+        trace: None,
+    })
 }
 
 /// The quota vector an adaptive organization starts from (empty for
@@ -243,7 +219,7 @@ pub fn run_mix(
             result.trace = Some(trace);
             Ok(result)
         }
-        None => Ok(drive(machine, org, mix, exp, NullSink)?.0),
+        None => drive(machine, org, mix, exp, NullSink),
     }
 }
 
@@ -263,7 +239,7 @@ pub fn run_mix_traced(
     capacity: usize,
 ) -> Result<(MixResult, Trace)> {
     let recorder = Recorder::with_capacity(capacity);
-    let (result, _) = drive(machine, org, mix, exp, recorder.clone())?;
+    let result = drive(machine, org, mix, exp, recorder.clone())?;
     let meta = TraceMeta {
         org: org.label().to_string(),
         cores: machine.cores,
@@ -273,25 +249,6 @@ pub fn run_mix_traced(
     let final_quotas = result.result.quotas.clone().unwrap_or_default();
     let trace = recorder.finish(meta, final_quotas);
     Ok((result, trace))
-}
-
-/// Like [`run_mix`] (untraced), additionally returning the chip's
-/// fast-path effectiveness counters for the measured window. The
-/// counters are a perf-attribution side channel: the [`MixResult`] is
-/// bit-identical to [`run_mix`]'s for the same experiment, fast path on
-/// or off (off, the fast-hit counters are zero and everything lands in
-/// the slow buckets).
-///
-/// # Errors
-///
-/// Propagates configuration errors from [`Cmp::new`].
-pub fn run_mix_instrumented(
-    machine: &MachineConfig,
-    org: Organization,
-    mix: &Mix,
-    exp: &ExperimentConfig,
-) -> Result<(MixResult, cpusim::FastPathStats)> {
-    drive(machine, org, mix, exp, NullSink)
 }
 
 /// One independent cell of an experiment grid: a machine, an
@@ -588,26 +545,6 @@ mod tests {
         assert_eq!(app, "gzip");
         assert!((s - 1.0).abs() < 1e-12, "self-speedup is 1.0");
         assert_eq!(n, 4);
-    }
-
-    #[test]
-    fn instrumented_run_matches_run_mix_in_both_modes() {
-        // The counters are a pure side channel: the MixResult must be
-        // bit-identical to run_mix's with the fast path on AND off, and
-        // the counters must reflect the requested mode.
-        let machine = MachineConfig::baseline();
-        let exp = ExperimentConfig::quick();
-        let mix = WorkloadPool::homogeneous(SpecApp::Gzip, 4, 1);
-        let plain = run_mix(&machine, Organization::Private, &mix, &exp).unwrap();
-        let (on, fast) = run_mix_instrumented(&machine, Organization::Private, &mix, &exp).unwrap();
-        assert_eq!(plain, on);
-        assert!(fast.data_fast_hits > 0, "fast path fired: {fast:?}");
-        let off_exp = exp.with_fast_path(false);
-        let (off, off_fast) =
-            run_mix_instrumented(&machine, Organization::Private, &mix, &off_exp).unwrap();
-        assert_eq!(plain, off, "--no-fast-path changed the result");
-        assert_eq!(off_fast.data_fast_hits + off_fast.inst_fast_hits, 0);
-        assert!(off_fast.data_slow > 0);
     }
 
     #[test]

@@ -140,18 +140,9 @@ pub struct Core<S: Sink = NullSink> {
     l3_local_hits: u64,
     l3_remote_hits: u64,
     l3_misses: u64,
-    /// Whether the exact hit fast path (fused TLB+L1 probe/walk,
-    /// memo-served lookups, warm trace decode, issue-scan hint) is
-    /// enabled. Results are bit-identical either way; `--no-fast-path`
-    /// clears it.
-    fast_path: bool,
-    /// Fast-path effectiveness counters (perf side channel only; never
+    /// Functional-walk outcome counters (perf side channel only; never
     /// part of [`CoreStats`], traces or snapshots).
     fast: FastPathStats,
-    /// Issue-scan hint: every ROB entry at an index below this is issued,
-    /// so the oldest-unissued scan may start here. Maintained by
-    /// commit/issue/drain; consulted only when `fast_path` is on.
-    issue_hint: usize,
     sink: S,
 }
 
@@ -200,32 +191,14 @@ impl<S: Sink> Core<S> {
             l3_local_hits: 0,
             l3_remote_hits: 0,
             l3_misses: 0,
-            fast_path: true,
             fast: FastPathStats::default(),
-            issue_hint: 0,
             sink,
         }
     }
 
-    /// Enables or disables the exact hit fast path on this core: the
-    /// fused TLB+L1 probe/walk with its memos, warm trace decode, and
-    /// the issue-scan hint. Disabled, every access runs the reference
-    /// sequence; results are bit-identical in both modes, so this only
-    /// exists as the `--no-fast-path` escape hatch the differential CI
-    /// job flips.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path = enabled;
-        self.itlb.set_memo(enabled);
-        self.dtlb.set_memo(enabled);
-        self.l1i.set_memo(enabled);
-        self.l1d.set_memo(enabled);
-        self.l2.set_memo(enabled);
-        if !enabled {
-            self.gen.set_warm_decode(false);
-        }
-    }
-
-    /// Fast-path effectiveness counters since the last statistics reset.
+    /// Functional-walk outcome counters since the last statistics reset
+    /// (warm-up, time-sampling gaps and drains; the detailed pipeline
+    /// does not count).
     pub fn fast_path_stats(&self) -> FastPathStats {
         self.fast
     }
@@ -399,29 +372,21 @@ impl<S: Sink> Core<S> {
     /// the chip's warm loop calls its concrete last level without a
     /// virtual call per access.
     pub fn warm_op<L: LastLevel + ?Sized>(&mut self, now: Cycle, l3: &mut L) {
-        if self.fast_path {
-            // Warm consumers read only pc/class/addr/taken; warm decode
-            // skips the dependency-distance math while consuming the
-            // identical RNG draws. Cheap flag compare once enabled.
-            self.gen.set_warm_decode(true);
-        }
+        // Warm consumers read only pc/class/addr/taken; warm decode skips
+        // the dependency-distance math while consuming the identical RNG
+        // draws.
+        self.gen.set_warm_decode(true);
         let mut op = self.gen.next_op();
         op.pc = op.pc.with_asid(self.id.asid());
         let block = op.pc.block(self.cfg.l1i.offset_bits()).raw();
         if block != self.last_fetch_block {
             self.last_fetch_block = block;
-            let l1i_hit = if self.fast_path {
-                // One probe per structure, hit or miss side committed in
-                // place — no fallback re-walk on the miss-heavy stream.
-                fastpath::functional_walk(&mut self.itlb, &mut self.l1i, op.pc, false)
+            // One probe per structure, hit or miss side committed in
+            // place — no re-walk on the miss-heavy stream.
+            if fastpath::functional_walk(&mut self.itlb, &mut self.l1i, op.pc, false) {
+                self.fast.inst_fast_hits += 1;
             } else {
-                self.itlb.access(op.pc);
-                self.l1i.access(op.pc, false, self.id).is_hit()
-            };
-            if l1i_hit {
-                self.fast.inst_fast_hits += u64::from(self.fast_path);
-            } else {
-                self.fast.inst_slow += u64::from(self.fast_path);
+                self.fast.inst_slow += 1;
                 // Fused L2 lookup: the install moves ahead of the L3
                 // request, which only touches L3 state, and the
                 // victim's inclusion/writeback handling stays behind
@@ -541,7 +506,7 @@ impl<S: Sink> Core<S> {
         }
 
         // Issue: scan the same bounded scheduler window `issue` uses.
-        if let Some(start) = self.oldest_unissued(self.fast_path) {
+        if let Some(start) = self.oldest_unissued() {
             let end = (start + SCHED_WINDOW).min(self.rob.len());
             for idx in start..end {
                 let e = &self.rob[idx];
@@ -564,7 +529,6 @@ impl<S: Sink> Core<S> {
     }
 
     fn commit(&mut self, now: Cycle) {
-        let mut popped = 0;
         for _ in 0..self.cfg.pipeline.width {
             let ready = matches!(self.rob.front(), Some(e) if e.issued && e.ready_at <= now);
             if !ready {
@@ -575,27 +539,13 @@ impl<S: Sink> Core<S> {
                 self.lsq_occupancy -= 1;
             }
             self.committed += 1;
-            popped += 1;
         }
-        // The issued prefix shrinks by exactly the popped entries.
-        self.issue_hint = self.issue_hint.saturating_sub(popped);
     }
 
-    /// The index of the oldest unissued ROB entry. With the fast path on,
-    /// the scan starts at `issue_hint` — every entry below it is issued
-    /// (the invariant commit/issue/drain maintain) — so both scans find
-    /// the same index.
+    /// The index of the oldest unissued ROB entry.
     #[inline]
-    fn oldest_unissued(&self, fast: bool) -> Option<usize> {
-        if fast {
-            self.rob
-                .iter()
-                .skip(self.issue_hint)
-                .position(|e| !e.issued)
-                .map(|p| p + self.issue_hint)
-        } else {
-            self.rob.iter().position(|e| !e.issued)
-        }
+    fn oldest_unissued(&self) -> Option<usize> {
+        self.rob.iter().position(|e| !e.issued)
     }
 
     fn issue(&mut self, now: Cycle, l3: &mut dyn LastLevel) {
@@ -612,14 +562,9 @@ impl<S: Sink> Core<S> {
 
         // Find the oldest unissued entry, then look a bounded scheduler
         // window past it.
-        let start = match self.oldest_unissued(self.fast_path) {
-            Some(i) => i,
-            None => {
-                self.issue_hint = self.rob.len();
-                return;
-            }
+        let Some(start) = self.oldest_unissued() else {
+            return;
         };
-        self.issue_hint = start;
         let end = (start + SCHED_WINDOW).min(self.rob.len());
 
         for idx in start..end {
@@ -722,20 +667,6 @@ impl<S: Sink> Core<S> {
         now: Cycle,
         l3: &mut dyn LastLevel,
     ) -> Cycle {
-        // Fast path: with no outstanding fill anywhere (so no MSHR merge
-        // and no `MshrMerge` telemetry is possible), a fused DTLB+L1D hit
-        // is exactly the reference walk below — DTLB hit means
-        // `start == now`, L1D hit returns after the L1D latency, and the
-        // fused probe has already committed both hit-side updates.
-        if self.fast_path
-            && self.mshr.is_empty()
-            && fastpath::fused_hit(&mut self.dtlb, &mut self.l1d, addr, write)
-        {
-            self.fast.data_fast_hits += 1;
-            return now + self.cfg.l1d.latency();
-        }
-        self.fast.data_slow += 1;
-
         let mut start = now;
         if !self.dtlb.access(addr) {
             start += self.dtlb.miss_penalty();
@@ -895,42 +826,31 @@ impl<S: Sink> Core<S> {
             let block = op.pc.block(self.cfg.l1i.offset_bits()).raw();
             if block != self.last_fetch_block {
                 self.last_fetch_block = block;
-                if self.fast_path
-                    && fastpath::fused_hit(&mut self.itlb, &mut self.l1i, op.pc, false)
-                {
-                    // ITLB hit + L1I hit: the reference walk below would
-                    // leave `start == now`, hit the L1I and fall through
-                    // without stalling — the fused probe has already
-                    // committed those exact hit-side updates.
-                    self.fast.inst_fast_hits += 1;
-                } else {
-                    self.fast.inst_slow += 1;
-                    let mut start = now;
-                    if !self.itlb.access(op.pc) {
-                        start += self.itlb.miss_penalty();
-                    }
-                    if !self.l1i.access(op.pc, false, self.id).is_hit() {
-                        let after_l1 = start + self.cfg.l1i.latency();
-                        let ready = if self.l2.access(op.pc, false, self.id).is_hit() {
-                            after_l1 + self.cfg.l2.latency()
-                        } else {
-                            let outcome =
-                                self.l3_request(op.pc, false, after_l1 + self.cfg.l2.latency(), l3);
-                            self.fill_l2(op.pc, false, l3, now);
-                            outcome.data_ready
-                        };
-                        self.l1i.fill(op.pc, false, self.id);
-                        self.fetch_resume_at = ready;
-                        // The missing instruction itself enters the queue;
-                        // the stall gates everything younger.
-                        self.fetch_queue.push_back((op, false));
-                        return;
-                    } else if start > now {
-                        // ITLB miss alone also stalls the front end.
-                        self.fetch_resume_at = start;
-                        self.fetch_queue.push_back((op, false));
-                        return;
-                    }
+                let mut start = now;
+                if !self.itlb.access(op.pc) {
+                    start += self.itlb.miss_penalty();
+                }
+                if !self.l1i.access(op.pc, false, self.id).is_hit() {
+                    let after_l1 = start + self.cfg.l1i.latency();
+                    let ready = if self.l2.access(op.pc, false, self.id).is_hit() {
+                        after_l1 + self.cfg.l2.latency()
+                    } else {
+                        let outcome =
+                            self.l3_request(op.pc, false, after_l1 + self.cfg.l2.latency(), l3);
+                        self.fill_l2(op.pc, false, l3, now);
+                        outcome.data_ready
+                    };
+                    self.l1i.fill(op.pc, false, self.id);
+                    self.fetch_resume_at = ready;
+                    // The missing instruction itself enters the queue;
+                    // the stall gates everything younger.
+                    self.fetch_queue.push_back((op, false));
+                    return;
+                } else if start > now {
+                    // ITLB miss alone also stalls the front end.
+                    self.fetch_resume_at = start;
+                    self.fetch_queue.push_back((op, false));
+                    return;
                 }
             }
 
@@ -1132,102 +1052,5 @@ mod tests {
         let (a, _) = run_core(compute_bound_profile(), 50_000);
         let (b, _) = run_core(compute_bound_profile(), 50_000);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fast_path_is_invisible_to_results() {
-        // Warm + detailed + drain with the fast path on and off: window
-        // statistics and the learned-state snapshot must be identical;
-        // only the side-channel counters may differ.
-        let p = AppProfileBuilder::new("mixy")
-            .loads(0.25)
-            .stores(0.08)
-            .branches(0.12)
-            .predictability(0.9)
-            .mix(MemoryMix {
-                l1_resident: 0.5,
-                l2_resident: 0.2,
-                l3_hot: 0.2,
-                streaming: 0.1,
-            })
-            .hot_kb(1024)
-            .stream_kb(4 * 1024)
-            .build()
-            .unwrap();
-        let run = |fast: bool| {
-            let cfg = MachineConfig::baseline();
-            let gen = TraceGenerator::new(&p, SimRng::seed_from(23));
-            let mut core = Core::new(CoreId::from_index(0), &cfg, gen);
-            core.set_fast_path(fast);
-            let mut l3 = FixedLatencyL3::new(19);
-            for c in 0..20_000 {
-                core.warm_op(Cycle::new(c), &mut l3);
-            }
-            core.reset_stats(Cycle::ZERO);
-            for c in 0..60_000 {
-                core.step(Cycle::new(c), &mut l3);
-            }
-            core.drain_pipeline(Cycle::new(60_000), &mut l3);
-            let stats = core.stats(Cycle::new(60_000));
-            let mut w = simcore::snapshot::SnapshotWriter::new();
-            core.save_state(&mut w).expect("drained core snapshots");
-            (stats, w.finish(), core.fast_path_stats())
-        };
-        let (fast_stats, fast_snap, fast_counters) = run(true);
-        let (slow_stats, slow_snap, slow_counters) = run(false);
-        assert_eq!(fast_stats, slow_stats);
-        assert_eq!(fast_snap, slow_snap);
-        assert!(
-            fast_counters.data_fast_hits > 0 && fast_counters.inst_fast_hits > 0,
-            "fast path never fired: {fast_counters:?}"
-        );
-        assert_eq!(
-            slow_counters.data_fast_hits + slow_counters.inst_fast_hits,
-            0,
-            "disabled fast path still fired: {slow_counters:?}"
-        );
-    }
-
-    #[test]
-    fn idle_until_agrees_with_hintless_scan() {
-        // The issue-scan hint must never change what idle_until proves:
-        // compare the hinted core's verdicts against a --no-fast-path
-        // twin at every cycle of a mixed run.
-        let cfg = MachineConfig::baseline();
-        let p = memoryless_check_profile();
-        let mk = |fast: bool| {
-            let gen = TraceGenerator::new(&p, SimRng::seed_from(41));
-            let mut core = Core::new(CoreId::from_index(0), &cfg, gen);
-            core.set_fast_path(fast);
-            core
-        };
-        let mut a = mk(true);
-        let mut b = mk(false);
-        let mut l3a = FixedLatencyL3::new(19);
-        let mut l3b = FixedLatencyL3::new(19);
-        for c in 0..30_000 {
-            let now = Cycle::new(c);
-            assert_eq!(a.idle_until(now), b.idle_until(now), "cycle {c}");
-            a.step(now, &mut l3a);
-            b.step(now, &mut l3b);
-        }
-        assert_eq!(a.committed(), b.committed());
-    }
-
-    fn memoryless_check_profile() -> tracegen::AppProfile {
-        AppProfileBuilder::new("hinty")
-            .loads(0.2)
-            .stores(0.05)
-            .branches(0.15)
-            .predictability(0.8)
-            .mix(MemoryMix {
-                l1_resident: 0.6,
-                l2_resident: 0.2,
-                l3_hot: 0.2,
-                streaming: 0.0,
-            })
-            .hot_kb(512)
-            .build()
-            .unwrap()
     }
 }

@@ -44,20 +44,14 @@ impl<S: Sink> Core<S> {
         now: Cycle,
         l3: &mut L,
     ) {
-        // Fast path: one probe per structure with the hit or miss side
-        // committed in place — `Tlb::access`/`Cache::access` are exactly
+        // One probe per structure with the hit or miss side committed in
+        // place — `Tlb::access`/`Cache::access` are exactly
         // lookup-then-commit, so the walk is the reference sequence minus
-        // the duplicated finds a fallback re-walk would pay.
-        let l1d_hit = if self.fast_path {
-            fastpath::functional_walk(&mut self.dtlb, &mut self.l1d, addr, write)
+        // the duplicated finds a re-walk would pay.
+        if fastpath::functional_walk(&mut self.dtlb, &mut self.l1d, addr, write) {
+            self.fast.data_fast_hits += 1;
         } else {
-            self.dtlb.access(addr);
-            self.l1d.access(addr, write, self.id).is_hit()
-        };
-        if l1d_hit {
-            self.fast.data_fast_hits += u64::from(self.fast_path);
-        } else {
-            self.fast.data_slow += u64::from(self.fast_path);
+            self.fast.data_slow += 1;
             let (l2, ev) = self.l2.access_fill(addr, write, self.id);
             if !l2.is_hit() {
                 self.l3_request(addr, write, now, l3);
@@ -107,7 +101,6 @@ impl<S: Sink> Core<S> {
         self.waiting_branch = None;
         self.fetch_resume_at = Cycle::ZERO;
         self.ready_ring.fill(0);
-        self.issue_hint = 0;
     }
 }
 

@@ -6,9 +6,7 @@
 //! translation per low-page-bits bucket. The memo is a pure search-order
 //! optimization in the spirit of `cachesim::swar::TagFilter`: a memo hit
 //! skips the linear scan, a memo mismatch falls back to it, and because
-//! pages are unique within the TLB both paths find the same slot. The
-//! memo read is gated by [`Tlb::set_memo`] (the `--no-fast-path` escape
-//! hatch); the memo is *maintained* unconditionally so toggling is free.
+//! pages are unique within the TLB both paths find the same slot.
 
 use simcore::config::TlbConfig;
 use simcore::types::Address;
@@ -42,9 +40,6 @@ pub struct Tlb {
     /// Direct-mapped slot memo: `slot + 1`, 0 = empty. Validated against
     /// `pages` before being trusted, so stale entries are harmless.
     memo: Vec<u32>,
-    /// Whether lookups may consult the memo (the fast path). Off, every
-    /// lookup is the reference linear scan.
-    memo_on: bool,
     stamp: u64,
     hits: u64,
     misses: u64,
@@ -62,7 +57,6 @@ impl Tlb {
             pages: Vec::with_capacity(cfg.entries),
             stamps: Vec::with_capacity(cfg.entries),
             memo: vec![0; MEMO_SLOTS],
-            memo_on: true,
             stamp: 0,
             hits: 0,
             misses: 0,
@@ -70,12 +64,11 @@ impl Tlb {
         }
     }
 
-    /// Enables or disables the residency-memo fast path. Disabled, every
-    /// lookup runs the reference linear scan; the memo keeps being
-    /// maintained either way, so re-enabling needs no rebuild. Results
-    /// are identical in both modes.
-    pub fn set_memo(&mut self, enabled: bool) {
-        self.memo_on = enabled;
+    /// Empties the memo, so the next lookup runs the reference linear
+    /// scan.
+    #[cfg(test)]
+    fn clear_memo(&mut self) {
+        self.memo.fill(0);
     }
 
     #[inline]
@@ -83,17 +76,15 @@ impl Tlb {
         (page as usize) & (MEMO_SLOTS - 1)
     }
 
-    /// Finds the slot holding `page`, memo first when enabled. Pages are
-    /// unique within the TLB, so the memo'd slot and the scan agree.
+    /// Finds the slot holding `page`, memo first. Pages are unique
+    /// within the TLB, so the memo'd slot and the scan agree.
     #[inline]
     fn find(&self, page: u64) -> Option<usize> {
-        if self.memo_on {
-            let m = self.memo[Self::memo_slot(page)];
-            if m != 0 {
-                let slot = (m - 1) as usize;
-                if slot < self.pages.len() && self.pages[slot] == page {
-                    return Some(slot);
-                }
+        let m = self.memo[Self::memo_slot(page)];
+        if m != 0 {
+            let slot = (m - 1) as usize;
+            if slot < self.pages.len() && self.pages[slot] == page {
+                return Some(slot);
             }
         }
         self.pages.iter().position(|&p| p == page)
@@ -101,8 +92,8 @@ impl Tlb {
 
     /// Non-mutating residency probe: the slot translating `addr`, if any.
     /// No stamp, statistic or memo update — pair with
-    /// [`commit_hit`](Self::commit_hit) once the fused TLB+L1 probe has
-    /// decided the whole access is a hit.
+    /// [`commit_hit`](Self::commit_hit) on a hit or
+    /// [`miss_install`](Self::miss_install) on a miss.
     #[inline]
     pub fn lookup(&self, addr: Address) -> Option<usize> {
         self.find(addr.page())
@@ -297,10 +288,10 @@ mod tests {
         // The memo is a pure search-order optimization: an aliasing page
         // stream (memo buckets collide every MEMO_SLOTS pages) must
         // produce identical verdicts, statistics and snapshots with the
-        // memo read on and off.
+        // memo kept and with it cleared before every access (a cleared
+        // memo forces the reference scan).
         let run = |memo: bool| {
             let mut t = small(16);
-            t.set_memo(memo);
             let mut verdicts = Vec::new();
             for i in 0..4_000u64 {
                 // Mix of reuse, bucket aliasing (page ± 256) and fresh
@@ -312,6 +303,9 @@ mod tests {
                     3 => i % 24,
                     _ => i * 7 % 97,
                 };
+                if !memo {
+                    t.clear_memo();
+                }
                 verdicts.push(t.access(Address::new(page << 12)));
             }
             let mut w = simcore::snapshot::SnapshotWriter::new();

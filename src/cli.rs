@@ -53,11 +53,6 @@ pub struct SimRequest {
     /// Execution policy only: results are bit-identical either way, and
     /// `--no-skip` forces the reference stepping loop.
     pub cycle_skip: bool,
-    /// Use the exact core-side hit fast path (fused TLB+L1 probe,
-    /// memo-served lookups, warm trace decode). Execution policy only:
-    /// results are bit-identical either way, and `--no-fast-path` forces
-    /// the reference walks.
-    pub fast_path: bool,
     /// Worker threads for running the organizations (`0` = one per
     /// available core). Results are bit-identical for every value.
     pub jobs: usize,
@@ -144,11 +139,6 @@ OPTIONS:
     --no-skip              disable event-driven cycle skipping and run the
                            reference stepping loop (bit-identical output,
                            slower; exists as a differential check)
-    --no-fast-path         disable the exact core-side hit fast path
-                           (fused TLB+L1 probe, memo-served lookups,
-                           warm trace decode) and run the reference
-                           walks (bit-identical output, slower; exists
-                           as a differential check)
     --time-sample <D:G>    alternate D cycle-accurate cycles with G
                            functionally warmed cycles (caches, quotas
                            and predictors stay warm; pipeline timing is
@@ -181,7 +171,6 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
     let mut reeval = 2000u64;
     let mut paranoid = false;
     let mut cycle_skip = true;
-    let mut fast_path = true;
     let mut jobs = 1usize;
     let mut time_sample: Option<(u64, u64)> = None;
     let mut trace: Option<PathBuf> = None;
@@ -248,7 +237,6 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
             "--tech-scaled" => tech_scaled = true,
             "--paranoid" => paranoid = true,
             "--no-skip" => cycle_skip = false,
-            "--no-fast-path" => fast_path = false,
             "--help" | "-h" => return Err(CliError::new(USAGE)),
             other => return Err(CliError::new(format!("unknown argument: {other}"))),
         }
@@ -323,7 +311,6 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
         seed,
         paranoid,
         cycle_skip,
-        fast_path,
         jobs,
         time_sample,
         trace,
@@ -428,7 +415,6 @@ fn drive<S: Sink>(
     recorder: Option<&Recorder>,
 ) -> Result<CmpResult, CliError> {
     cmp.set_cycle_skip(req.cycle_skip);
-    cmp.set_fast_path(req.fast_path);
     if let Some((detail, gap)) = req.time_sample {
         cmp.set_time_sample(detail, gap);
     }
@@ -614,19 +600,6 @@ mod tests {
     fn no_skip_selects_the_reference_stepping_loop() {
         let req = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon --no-skip")).unwrap();
         assert!(!req.cycle_skip);
-        assert!(req.fast_path, "--no-skip leaves the hit fast path alone");
-    }
-
-    #[test]
-    fn no_fast_path_selects_the_reference_walks() {
-        let req = parse_args(&argv(
-            "--org shared --apps ammp,gzip,crafty,eon --no-fast-path",
-        ))
-        .unwrap();
-        assert!(!req.fast_path);
-        assert!(req.cycle_skip, "--no-fast-path leaves cycle skipping alone");
-        let plain = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon")).unwrap();
-        assert!(plain.fast_path, "fast path defaults on");
     }
 
     #[test]
@@ -675,6 +648,13 @@ mod tests {
             "--org adaptive --apps ammp,gzip,crafty,eon --parallel a:1:1"
         ))
         .is_err());
+        // Out-of-range or unused shared regions parse but are refused
+        // when the chip is built, with a message instead of a panic.
+        for spec in ["galgel:1.5:64", "galgel:0.4:0", "galgel:NaN:64"] {
+            let req = parse_args(&argv(&format!("--org shared --parallel {spec}"))).unwrap();
+            let err = run(&req).expect_err(spec);
+            assert!(err.to_string().contains("shared"), "{spec}: {err}");
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! out-of-order cores → last-level organizations → contended memory,
 //! driven through the experiment harness.
 
-use nuca_repro::nuca_core::cmp::Cmp;
+use nuca_repro::nuca_core::cmp::{Cmp, CmpResult};
 use nuca_repro::nuca_core::experiment::{
     compare_schemes, run_mix, run_mix_traced, ExperimentConfig,
 };
 use nuca_repro::nuca_core::l3::Organization;
 use nuca_repro::simcore::config::MachineConfig;
+use nuca_repro::simcore::snapshot::fnv1a64;
 use nuca_repro::telemetry::export::render_jsonl;
 use nuca_repro::tracegen::spec::SpecApp;
 use nuca_repro::tracegen::workload::{Mix, WorkloadPool};
@@ -298,61 +299,134 @@ fn time_sample_zero_gap_is_byte_identical_end_to_end() {
     );
 }
 
+/// FNV-1a over an explicit list of every [`CmpResult`] field, so that
+/// adding a field does not move the digest.
+fn result_digest(r: &CmpResult) -> u64 {
+    let mut words: Vec<u64> = Vec::new();
+    for (app, s) in &r.per_core {
+        words.extend(app.bytes().map(u64::from));
+        words.extend([
+            s.committed,
+            s.cycles,
+            s.l1i.hits,
+            s.l1i.misses,
+            s.l1d.hits,
+            s.l1d.misses,
+            s.l2.hits,
+            s.l2.misses,
+            s.l3_accesses,
+            s.l3_local_hits,
+            s.l3_remote_hits,
+            s.l3_misses,
+            s.branches,
+            s.mispredicts,
+            s.dtlb_misses,
+            s.itlb_misses,
+        ]);
+    }
+    words.extend(r.ipc.iter().map(|v| v.to_bits()));
+    words.extend([r.hmean_ipc.to_bits(), r.amean_ipc.to_bits()]);
+    words.extend([
+        r.memory.requests,
+        r.memory.total_queue_delay,
+        r.memory.busy_cycles,
+    ]);
+    match &r.quotas {
+        Some(q) => {
+            words.push(1);
+            words.extend(q.iter().map(|&q| u64::from(q)));
+        }
+        None => words.push(0),
+    }
+    match &r.time_sampling {
+        Some(ts) => words.extend([
+            1,
+            ts.detail,
+            ts.gap,
+            ts.windows,
+            ts.detailed_cycles,
+            ts.functional_cycles,
+            ts.mean_window_hmean_ipc.to_bits(),
+            ts.hmean_ipc_std_error.to_bits(),
+            ts.relative_ci95.to_bits(),
+        ]),
+        None => words.push(0),
+    }
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
 #[test]
 fn no_fast_path_is_invisible_end_to_end() {
-    // The fused TLB+L1 probe, way/page memos, warm decode and pipeline
-    // bookkeeping bypass are pure search-order optimizations: turning
-    // them off with `--no-fast-path` must change nothing — not the
-    // measured window, not the byte-rendered telemetry stream, not the
-    // CLI report — for every organization kind.
+    // The core's one hit path (the functional TLB+L1 walk, page/way
+    // memos and warm decode) must reproduce the sequential reference
+    // walks exactly. These digests were recorded from both the
+    // memo-served path and the reference walks (a since-removed mode
+    // with every memo and fused probe switched off), which agreed byte
+    // for byte: the measured window, the rendered telemetry stream and
+    // the CLI report, for every organization kind.
     let machine = MachineConfig::baseline();
-    for org in [
-        Organization::Private,
-        Organization::Shared,
-        Organization::adaptive(),
-        Organization::Cooperative { seed: 1 },
-    ] {
-        let (fast, fast_trace) = run_mix_traced(&machine, org, &mixed(), &exp(), 4096).unwrap();
-        let (slow, slow_trace) =
-            run_mix_traced(&machine, org, &mixed(), &exp().with_fast_path(false), 4096).unwrap();
-        assert_eq!(fast.result, slow.result, "{} window differs", org.label());
+    let golden: [(Organization, u64, u64); 4] = [
+        (
+            Organization::Private,
+            0x7384_7543_97e4_35be,
+            0x5f96_7fc2_5bfa_52cf,
+        ),
+        (
+            Organization::Shared,
+            0x363c_1efc_5e2a_7572,
+            0xeb5d_f305_091a_f841,
+        ),
+        (
+            Organization::adaptive(),
+            0xa37a_9380_b6d0_5a40,
+            0x8f14_0c18_b524_236f,
+        ),
+        (
+            Organization::Cooperative { seed: 1 },
+            0xcbff_aa1c_46a5_1baa,
+            0x1b32_104e_2e2d_bbf3,
+        ),
+    ];
+    for (org, result_want, trace_want) in golden {
+        let (r, trace) = run_mix_traced(&machine, org, &mixed(), &exp(), 4096).unwrap();
+        let jsonl = render_jsonl(std::slice::from_ref(&trace));
         assert_eq!(
-            render_jsonl(std::slice::from_ref(&fast_trace)),
-            render_jsonl(std::slice::from_ref(&slow_trace)),
-            "{} telemetry JSONL differs",
+            result_digest(&r.result),
+            result_want,
+            "{} window moved",
+            org.label()
+        );
+        assert_eq!(
+            fnv1a64(jsonl.as_bytes()),
+            trace_want,
+            "{} telemetry JSONL moved",
             org.label()
         );
     }
 
-    // And the CLI surface: stdout must be byte-identical too.
+    // And the CLI surface: the rendered report is pinned too.
     use nuca_repro::cli::{parse_args, render, run};
-    let to_args = |extra: &[&str]| -> Vec<String> {
-        let mut v: Vec<String> = [
-            "--org",
-            "adaptive",
-            "--apps",
-            "ammp,gzip,crafty,mcf",
-            "--warm",
-            "200000",
-            "--warmup",
-            "10000",
-            "--measure",
-            "60000",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        v.extend(extra.iter().map(|s| s.to_string()));
-        v
-    };
-    let fast_req = parse_args(&to_args(&[])).unwrap();
-    let slow_req = parse_args(&to_args(&["--no-fast-path"])).unwrap();
-    let fast = run(&fast_req).unwrap();
-    let slow = run(&slow_req).unwrap();
-    assert_eq!(fast, slow);
+    let args: Vec<String> = [
+        "--org",
+        "adaptive",
+        "--apps",
+        "ammp,gzip,crafty,mcf",
+        "--warm",
+        "200000",
+        "--warmup",
+        "10000",
+        "--measure",
+        "60000",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let req = parse_args(&args).unwrap();
+    let result = run(&req).unwrap();
     assert_eq!(
-        render(&fast_req, "adaptive", &fast),
-        render(&slow_req, "adaptive", &slow),
-        "rendered reports must be byte-identical without the fast path"
+        fnv1a64(render(&req, "adaptive", &result).as_bytes()),
+        0xfc57_caf2_b75e_43e2,
+        "rendered report moved"
     );
 }

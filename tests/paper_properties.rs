@@ -18,7 +18,6 @@ fn exp() -> ExperimentConfig {
         seed: 2007,
         jobs: 1,
         cycle_skip: true,
-        fast_path: true,
         time_sample: None,
     }
 }

@@ -518,9 +518,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The fused TLB+L1 probe vs the sequential reference walk.
+// The fused TLB+L1 functional walk vs the sequential reference walk.
 
-use nuca_repro::cpusim::fastpath::fused_hit;
+use nuca_repro::cpusim::fastpath::functional_walk;
 use nuca_repro::cpusim::tlb::Tlb;
 use nuca_repro::simcore::config::TlbConfig;
 
@@ -535,10 +535,11 @@ proptest! {
         addr_pages in 2u64..40,
     ) {
         // Covers both LRU representations: packed nibbles up to 16 ways
-        // and the wide LruStack facade for 17–32 ways. The fused probe
-        // (with reference fallback on a failed probe) and the plain
-        // sequential TLB-then-L1 walk must produce the same verdicts and
-        // leave bit-identical snapshots behind.
+        // and the wide LruStack facade for 17–32 ways. The functional
+        // walk (one probe per structure, hit or miss side committed in
+        // place, then the fill on an L1 miss) and the plain sequential
+        // TLB-then-L1 walk must produce the same verdicts and leave
+        // bit-identical snapshots behind.
         let sets = 1u64 << sets_log;
         let geom = CacheGeometry::new(sets * u64::from(assoc) * 64, assoc, 64, 1).unwrap();
         let cfg = TlbConfig { entries, miss_penalty: 30 };
@@ -549,19 +550,16 @@ proptest! {
         for i in 0..2_000u32 {
             let addr = Address::new(rng.below(addr_pages << 12) & !7);
             let write = rng.chance(0.3);
-            let fused = fused_hit(&mut ft, &mut fc, addr, write);
-            if !fused {
-                ft.access(addr);
-                if !fc.access(addr, write, core).is_hit() {
-                    fc.fill(addr, write, core);
-                }
+            let walk_hit = functional_walk(&mut ft, &mut fc, addr, write);
+            if !walk_hit {
+                fc.fill(addr, write, core);
             }
-            let tlb_hit = rt.access(addr);
+            rt.access(addr);
             let l1_hit = rc.access(addr, write, core).is_hit();
             if !l1_hit {
                 rc.fill(addr, write, core);
             }
-            prop_assert_eq!(fused, tlb_hit && l1_hit, "op {}", i);
+            prop_assert_eq!(walk_hit, l1_hit, "op {}", i);
         }
         prop_assert_eq!((ft.hits(), ft.misses()), (rt.hits(), rt.misses()));
         prop_assert_eq!(fc.stats(), rc.stats());
