@@ -297,29 +297,41 @@ fn bench_swar_probe(c: &mut Criterion) {
     });
 }
 
+/// Steps every cycle of a 20k-cycle window: the reference semantics
+/// `Cmp::run`'s event skipping reproduces.
+fn step_window(cmp: &mut Cmp) {
+    for _ in 0..20_000 {
+        cmp.step();
+    }
+}
+
 fn bench_cycle_skip(c: &mut Criterion) {
-    // The event-driven run loop against the reference stepping loop on
-    // the same warmed chip: the gap between these two lines is exactly
-    // what the skip fast path buys on stall-heavy windows.
+    // The event-driven run loop against stepping every cycle on the same
+    // warmed chip: the gap between these two lines is exactly what
+    // skipping buys on stall-heavy windows. With every cycle stepped,
+    // the core-side hit path (TLB and L1 accesses served by their memos)
+    // dominates, so the stepping side also runs as `core_step_hit`, the
+    // name the CI bench step filters on.
     let cfg = MachineConfig::baseline();
     let mix = Mix {
         apps: vec![SpecApp::Ammp, SpecApp::Mcf, SpecApp::Swim, SpecApp::Applu],
         forwards: vec![0; 4],
     };
-    for (name, skip) in [
-        ("cmp_run_window_skip", true),
-        ("cmp_run_window_step", false),
+    let run_window: fn(&mut Cmp) = |cmp| cmp.run(20_000);
+    for (name, advance) in [
+        ("cmp_run_window_skip", run_window),
+        ("cmp_run_window_step", step_window),
+        ("core_step_hit", step_window),
     ] {
         c.bench_function(name, |b| {
             b.iter_batched(
                 || {
                     let mut cmp = Cmp::new(&cfg, Organization::Shared, &mix, 42).unwrap();
-                    cmp.set_cycle_skip(skip);
                     cmp.warm(2_000);
                     cmp
                 },
                 |mut cmp| {
-                    cmp.run(20_000);
+                    advance(&mut cmp);
                     cmp.now()
                 },
                 BatchSize::SmallInput,
@@ -355,32 +367,6 @@ fn bench_functional_window(c: &mut Criterion) {
     });
 }
 
-fn bench_core_step_hit(c: &mut Criterion) {
-    // The detailed stepping loop on a warmed chip with every cycle
-    // stepped: the core-side hit path (TLB and L1 accesses served by
-    // their memos) dominates hit-heavy windows.
-    let cfg = MachineConfig::baseline();
-    let mix = Mix {
-        apps: vec![SpecApp::Ammp, SpecApp::Mcf, SpecApp::Swim, SpecApp::Applu],
-        forwards: vec![0; 4],
-    };
-    c.bench_function("core_step_hit", |b| {
-        b.iter_batched(
-            || {
-                let mut cmp = Cmp::new(&cfg, Organization::Shared, &mix, 42).unwrap();
-                cmp.set_cycle_skip(false);
-                cmp.warm(2_000);
-                cmp
-            },
-            |mut cmp| {
-                cmp.run(20_000);
-                cmp.now()
-            },
-            BatchSize::SmallInput,
-        );
-    });
-}
-
 criterion_group!(
     benches,
     bench_lru_stack,
@@ -394,7 +380,6 @@ criterion_group!(
     bench_core_cycle,
     bench_swar_probe,
     bench_cycle_skip,
-    bench_functional_window,
-    bench_core_step_hit
+    bench_functional_window
 );
 criterion_main!(benches);

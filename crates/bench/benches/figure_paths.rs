@@ -20,10 +20,7 @@ fn tiny() -> ExperimentConfig {
         warm_instructions: 60_000,
         warmup_cycles: 10_000,
         measure_cycles: 40_000,
-        seed: 2007,
-        jobs: 1,
-        cycle_skip: true,
-        time_sample: None,
+        ..ExperimentConfig::default()
     }
 }
 

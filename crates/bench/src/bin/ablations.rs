@@ -12,14 +12,13 @@ use nuca_core::engine::AdaptiveParams;
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+    let (tele, exp, mixes) = nuca_bench::setup().unwrap_or_else(|e| {
         eprintln!("ablations: {e}");
         std::process::exit(2);
     });
-    let n = nuca_bench::mix_count().min(6);
+    tele.install();
+    let machine = MachineConfig::baseline();
+    let n = mixes.min(6);
 
     let periods: Vec<(String, u64)> = [500u64, 2000, 8000, 32000]
         .into_iter()

@@ -8,7 +8,10 @@ use nuca_core::cost::CostModel;
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
+    let (tele, _, _) = nuca_bench::setup().unwrap_or_else(|e| {
+        eprintln!("cost_model: {e}");
+        std::process::exit(2);
+    });
     tele.install();
     let machine = MachineConfig::baseline();
     let c = CostModel::for_machine(&machine);

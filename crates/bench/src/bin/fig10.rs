@@ -8,14 +8,13 @@ use nuca_bench::report::{pct, Table};
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+    let (tele, exp, mixes) = nuca_bench::setup().unwrap_or_else(|e| {
         eprintln!("fig10: {e}");
         std::process::exit(2);
     });
-    let r = fig10(&machine, &exp, nuca_bench::mix_count()).expect("figure 10 experiment");
+    tele.install();
+    let machine = MachineConfig::baseline();
+    let r = fig10(&machine, &exp, mixes).expect("figure 10 experiment");
     let mut t = Table::new(
         "Figure 10 — mean harmonic speedup vs private, baseline vs scaled technology",
         &["scheme", "baseline", "scaled tech", "delta"],

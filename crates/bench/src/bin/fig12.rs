@@ -9,14 +9,13 @@ use simcore::config::MachineConfig;
 use simcore::stats::arithmetic_mean;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+    let (tele, exp, mixes) = nuca_bench::setup().unwrap_or_else(|e| {
         eprintln!("fig12: {e}");
         std::process::exit(2);
     });
-    let rows = fig12(&machine, &exp, nuca_bench::mix_count()).expect("figure 12 experiment");
+    tele.install();
+    let machine = MachineConfig::baseline();
+    let rows = fig12(&machine, &exp, mixes).expect("figure 12 experiment");
     let mut t = Table::new(
         "Figure 12 — adaptive vs \"random replacement\", mixes from all applications",
         &["mix", "adaptive", "cooperative", "relative"],

@@ -9,14 +9,13 @@ use simcore::config::MachineConfig;
 use simcore::stats::speedup;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+    let (tele, exp, mixes) = nuca_bench::setup().unwrap_or_else(|e| {
         eprintln!("fig6: {e}");
         std::process::exit(2);
     });
-    let r = fig6(&machine, &exp, nuca_bench::mix_count()).expect("figure 6 experiment");
+    tele.install();
+    let machine = MachineConfig::baseline();
+    let r = fig6(&machine, &exp, mixes).expect("figure 6 experiment");
     let mut t = Table::new(
         "Figure 6 — harmonic-mean IPC per experiment, sorted by adaptive/private",
         &["mix", "private", "shared", "adaptive", "adp/priv", "quotas"],

@@ -8,14 +8,13 @@ use nuca_bench::report::{pct, Table};
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+    let (tele, exp, mixes) = nuca_bench::setup().unwrap_or_else(|e| {
         eprintln!("fig9: {e}");
         std::process::exit(2);
     });
-    let rows = fig9(&machine, &exp, nuca_bench::mix_count()).expect("figure 9 experiment");
+    tele.install();
+    let machine = MachineConfig::baseline();
+    let rows = fig9(&machine, &exp, mixes).expect("figure 9 experiment");
     let mut t = Table::new(
         "Figure 9 — 8-MByte L3 (2 MB/core slices, same timing model)",
         &["app", "vs private", "vs shared", "vs 4x private", "n"],

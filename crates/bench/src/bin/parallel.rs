@@ -14,13 +14,12 @@ use tracegen::spec::SpecApp;
 use tracegen::workload::parallel_workload;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+    let (tele, exp, _) = nuca_bench::setup().unwrap_or_else(|e| {
         eprintln!("parallel: {e}");
         std::process::exit(2);
     });
+    tele.install();
+    let machine = MachineConfig::baseline();
     let orgs = [
         Organization::Private,
         Organization::Shared,

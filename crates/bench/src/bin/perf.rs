@@ -9,11 +9,12 @@
 //!     --repeat <N>          run the serial pass N times and report the
 //!                           median wall-clock (guards --check-regression
 //!                           against one-off host noise)      [default: 1]
-//!     --no-skip             run with event-driven cycle skipping disabled
 //!     --time-sample <D:G>   time-sampling schedule for the time-sampled
 //!                           accuracy pass: D detailed cycles alternating
 //!                           with G functionally warmed cycles
 //!                                                        [default: 10000:40000]
+//!     --trace <PATH>        write the JSONL event trace of every cell
+//!     --metrics-out <PATH>  write the aggregated metrics document
 //!     --max-time-sample-error <PCT>
 //!                           fail if the time-sampled pass's worst
 //!                           hmean-IPC error vs the full serial pass
@@ -63,14 +64,11 @@
 //!   when the reference carries it, so a single-organization regression
 //!   cannot hide inside a flat whole-matrix aggregate.
 //!
-//! Schema v6 drops the `sampling` section together with the set-sampled
-//! simulation mode it measured.
-//!
-//! Schema v7 (this file) drops the top-level fast-path flag, the
-//! fast-path control section and the per-organization fast-path
-//! counters under `attribution`, together with the switchable core-side
-//! hit path they measured: there is one hit path, so there is no
-//! control pass to compare against.
+//! Later versions only delete what measured a deleted mode: v6 the
+//! `sampling` section (set-sampled simulation), v7 the fast-path flag,
+//! control section and per-organization counters under `attribution`
+//! (the switchable core-side hit path), and v8 (this file) the
+//! `cycle_skip` flag (the switchable run loop).
 
 // Figure-harness binary: failing fast on experiment errors is intended.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -78,6 +76,7 @@
 use std::time::Instant;
 
 use nuca_bench::json::Json;
+use nuca_bench::trace_out::TelemetryArgs;
 use nuca_core::experiment::{run_cells, ExperimentConfig, MixResult, SimCell};
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
@@ -88,7 +87,6 @@ struct Args {
     quick: bool,
     jobs: usize,
     repeat: usize,
-    cycle_skip: bool,
     time_sample: (u64, u64),
     max_time_sample_error: Option<f64>,
     out: Option<String>,
@@ -96,17 +94,19 @@ struct Args {
     check_regression: Option<String>,
 }
 
-/// Parses perf's arguments (without `argv[0]`). Every flag value is
-/// checked: a malformed number is an error, never a silent fallback to
-/// the default (a mistyped `--max-time-sample-error` must not switch the
-/// accuracy gate off).
-fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+/// Parses perf's arguments (without `argv[0]`). `--jobs` and
+/// `--time-sample` are read by [`nuca_bench::parse_flags`] (perf reads
+/// none of its environment variables), `--trace` and `--metrics-out` by
+/// [`TelemetryArgs`]. Every flag value is checked: a malformed number is
+/// an error, never a silent fallback to the default (a mistyped
+/// `--max-time-sample-error` must not switch the accuracy gate off).
+fn parse_args(argv: Vec<String>) -> Result<Args, String> {
+    let flags = nuca_bench::parse_flags(argv.iter().cloned(), |_| None)?;
     let mut args = Args {
         quick: false,
-        jobs: 0,
+        jobs: flags.jobs,
         repeat: 1,
-        cycle_skip: true,
-        time_sample: (10_000, 40_000),
+        time_sample: flags.time_sample.unwrap_or((10_000, 40_000)),
         max_time_sample_error: None,
         out: None,
         check_schema: None,
@@ -117,18 +117,16 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--quick" => args.quick = true,
-            "--jobs" => args.jobs = parse_count("--jobs", &value("--jobs")?)?,
-            "--repeat" => {
-                args.repeat = parse_count("--repeat", &value("--repeat")?)?;
-                if args.repeat == 0 {
-                    return Err("--repeat wants at least 1".to_string());
-                }
+            "--jobs" | "--time-sample" | "--trace" | "--metrics-out" => {
+                value(&arg)?;
             }
-            "--no-skip" => args.cycle_skip = false,
-            "--time-sample" => {
-                let v = value("--time-sample")?;
-                args.time_sample = nuca_bench::parse_time_sample(&v)
-                    .ok_or_else(|| format!("--time-sample wants D:G with D > 0 (got {v:?})"))?;
+            "--repeat" => {
+                let v = value("--repeat")?;
+                args.repeat = v
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("--repeat wants an integer >= 1 (got {v:?})"))?;
             }
             "--max-time-sample-error" => {
                 let v = value("--max-time-sample-error")?;
@@ -144,19 +142,15 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--out" => args.out = Some(value("--out")?),
             "--check-schema" => args.check_schema = Some(value("--check-schema")?),
             "--check-regression" => args.check_regression = Some(value("--check-regression")?),
-            other => match other.strip_prefix("--jobs=") {
-                Some(v) => args.jobs = parse_count("--jobs", v)?,
-                None => return Err(format!("unknown argument {other} (see the module docs)")),
-            },
+            other => {
+                let read_elsewhere = ["--jobs=", "--time-sample=", "--trace=", "--metrics-out="];
+                if !read_elsewhere.iter().any(|p| other.starts_with(p)) {
+                    return Err(format!("unknown argument {other} (see the module docs)"));
+                }
+            }
         }
     }
     Ok(args)
-}
-
-/// Parses a non-negative integer flag value.
-fn parse_count(flag: &str, v: &str) -> Result<usize, String> {
-    v.parse()
-        .map_err(|_| format!("{flag} wants a non-negative integer (got {v:?})"))
 }
 
 fn default_out_path() -> std::path::PathBuf {
@@ -186,19 +180,19 @@ fn sampling_error(full: &[MixResult], sampled: &[MixResult]) -> (f64, f64) {
 }
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
+    let (args, tele) = parse_args(std::env::args().skip(1).collect())
+        .and_then(|args| Ok((args, TelemetryArgs::parse()?)))
+        .unwrap_or_else(|e| {
+            eprintln!("perf: {e}");
+            std::process::exit(2);
+        });
     tele.install();
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("perf: {e}");
-        std::process::exit(2);
-    });
     let machine = MachineConfig::baseline();
     let (n_mixes, exp) = if args.quick {
         (2, ExperimentConfig::quick())
     } else {
         (4, ExperimentConfig::default().scaled(20, 100))
     };
-    let exp = exp.with_cycle_skip(args.cycle_skip);
     let jobs = simcore::parallel::resolve_jobs(args.jobs);
     let orgs = [
         Organization::Private,
@@ -429,7 +423,7 @@ fn main() {
     time_sampling_json.push(("max_rel_error_hmean_ipc".into(), Json::num(ts_max_err)));
     time_sampling_json.push(("mean_rel_error_hmean_ipc".into(), Json::num(ts_mean_err)));
     let doc = Json::Obj(vec![
-        ("schema_version".into(), Json::num(7.0)),
+        ("schema_version".into(), Json::num(8.0)),
         ("bench".into(), Json::str("nuca-bench perf")),
         ("quick".into(), Json::Bool(args.quick)),
         (
@@ -455,7 +449,6 @@ fn main() {
         ),
         ("host".into(), pass("cores", host_cores as u64)),
         ("jobs".into(), Json::num(jobs as f64)),
-        ("cycle_skip".into(), Json::Bool(args.cycle_skip)),
         ("serial".into(), Json::Obj(serial_json)),
         ("parallel".into(), Json::Obj(rate(parallel_wall))),
         ("speedup".into(), speedup_json),
@@ -640,18 +633,18 @@ mod tests {
     use super::*;
 
     fn parse(line: &str) -> Result<Args, String> {
-        parse_args(line.split_whitespace().map(String::from))
+        parse_args(line.split_whitespace().map(String::from).collect())
     }
 
     #[test]
     fn well_formed_flags_parse() {
         let args = parse(
-            "--quick --jobs 2 --repeat 3 --no-skip --time-sample 500:2000 \
+            "--quick --jobs 2 --repeat 3 --time-sample 500:2000 \
              --max-time-sample-error 10.5 --out o.json --check-schema s.json \
-             --check-regression r.json",
+             --check-regression r.json --trace t.jsonl --metrics-out=m.json",
         )
         .unwrap();
-        assert!(args.quick && !args.cycle_skip);
+        assert!(args.quick);
         assert_eq!((args.jobs, args.repeat), (2, 3));
         assert_eq!(args.time_sample, (500, 2_000));
         assert_eq!(args.max_time_sample_error, Some(10.5));
@@ -659,8 +652,14 @@ mod tests {
         assert_eq!(args.check_schema.as_deref(), Some("s.json"));
         assert_eq!(args.check_regression.as_deref(), Some("r.json"));
         assert_eq!(parse("--jobs=4").unwrap().jobs, 4);
+        assert_eq!(
+            parse("--time-sample=10_000:0").unwrap().time_sample,
+            (10_000, 0)
+        );
+        parse("--trace=t.jsonl --metrics-out m.json").unwrap();
         let defaults = parse("").unwrap();
         assert_eq!((defaults.jobs, defaults.repeat), (0, 1));
+        assert_eq!(defaults.time_sample, (10_000, 40_000));
         assert_eq!(defaults.max_time_sample_error, None);
     }
 
@@ -676,8 +675,12 @@ mod tests {
             ("--repeat x", "--repeat"),
             ("--repeat 0", "--repeat"),
             ("--time-sample 0:40", "--time-sample"),
+            ("--time-sample 10000:", "--time-sample"),
             ("--out", "--out"),
+            ("--trace", "--trace"),
+            ("--quick --metrics-out", "--metrics-out"),
             ("--bogus", "--bogus"),
+            ("--no-skip", "--no-skip"),
         ] {
             let err = parse(line)
                 .err()

@@ -8,14 +8,13 @@ use nuca_bench::report::{f4, Table};
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config().unwrap_or_else(|e| {
+    let (tele, exp, mixes) = nuca_bench::setup().unwrap_or_else(|e| {
         eprintln!("shadow_sampling: {e}");
         std::process::exit(2);
     });
-    let r = shadow_sampling(&machine, &exp, nuca_bench::mix_count()).expect("4.6 experiment");
+    tele.install();
+    let machine = MachineConfig::baseline();
+    let r = shadow_sampling(&machine, &exp, mixes).expect("4.6 experiment");
     let mut t = Table::new(
         "Section 4.6 — full shadow coverage vs 1/16 lowest-index sets",
         &["metric", "full", "1/16 sampled", "delta"],

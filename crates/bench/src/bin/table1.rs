@@ -7,7 +7,10 @@ use nuca_bench::report::Table;
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
+    let (tele, _, _) = nuca_bench::setup().unwrap_or_else(|e| {
+        eprintln!("table1: {e}");
+        std::process::exit(2);
+    });
     tele.install();
     let m = MachineConfig::baseline();
     let mut t = Table::new("Table 1 — baseline configuration", &["parameter", "value"]);

@@ -12,7 +12,8 @@
 //!
 //! The paper simulates 200 M cycles per experiment on a farm; the
 //! defaults here run each figure in minutes on a laptop. Two environment
-//! variables trade fidelity for wall-clock time:
+//! variables trade fidelity for wall-clock time (a malformed or zero
+//! value is an error, see [`parse_flags`]):
 //!
 //! - `NUCA_BENCH_SCALE` — percentage applied to every simulation phase
 //!   (default 100; e.g. `25` runs quarter-length windows).
@@ -36,34 +37,28 @@ pub mod json;
 pub mod report;
 pub mod trace_out;
 
-use nuca_core::experiment::ExperimentConfig;
+use nuca_core::experiment::{parse_time_sample, ExperimentConfig};
+use trace_out::TelemetryArgs;
 
-/// Reads the experiment configuration honoring `NUCA_BENCH_SCALE` and
-/// the execution flags [`parse_flags`] reads from the command line and
-/// the environment.
+/// Reads everything a figure binary takes from its command line and
+/// environment: the telemetry targets, the experiment configuration
+/// (see [`parse_flags`]) and the per-figure mix count.
 ///
 /// # Errors
 ///
-/// A message naming the flag or variable when a `--jobs` /
-/// `--time-sample` value (or its environment variable) is malformed.
-/// Figure binaries print it and exit 2 instead of silently running a
-/// different experiment.
-pub fn experiment_config() -> Result<ExperimentConfig, String> {
+/// A message naming the flag or variable when any value is missing or
+/// malformed. Figure binaries print it and exit 2 instead of silently
+/// running a different experiment.
+pub fn setup() -> Result<(TelemetryArgs, ExperimentConfig, usize), String> {
     let flags = parse_flags(std::env::args().skip(1), |k| std::env::var(k).ok())?;
-    let base = ExperimentConfig::default();
-    let base = match std::env::var("NUCA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        Some(pct) if pct > 0 && pct != 100 => base.scaled(pct, 100),
-        _ => base,
-    };
-    Ok(base
+    let exp = ExperimentConfig::default()
+        .scaled(flags.scale, 100)
         .with_jobs(flags.jobs)
-        .with_time_sample(flags.time_sample))
+        .with_time_sample(flags.time_sample);
+    Ok((TelemetryArgs::parse()?, exp, flags.mixes))
 }
 
-/// Execution flags shared by every figure binary.
+/// Execution and scaling settings shared by every figure binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchFlags {
     /// Worker threads for simulation grids (`0` = one per available
@@ -72,17 +67,24 @@ pub struct BenchFlags {
     /// Time-sampling schedule `(detail, gap)`; `None` simulates every
     /// cycle in detail.
     pub time_sample: Option<(u64, u64)>,
+    /// Percentage applied to every simulation phase (100 = full scale).
+    pub scale: u64,
+    /// Random 4-app mixes per figure.
+    pub mixes: usize,
 }
 
-/// Parses the shared execution flags from `args` (without `argv[0]`),
-/// with `env` looking up environment variables:
+/// Parses the shared figure-binary settings from `args` (without
+/// `argv[0]`), with `env` looking up environment variables:
 ///
 /// - `--jobs N` / `--jobs=N` beats `NUCA_BENCH_JOBS`, which beats
 ///   "auto" (`0`, one worker per available core);
 /// - `--time-sample D:G` / `--time-sample=D:G` (D detailed cycles
-///   alternating with G functionally warmed cycles) beats
-///   `NUCA_BENCH_TIME_SAMPLE`; absent both, every cycle is simulated in
-///   detail. A zero gap (`D:0`) is byte-identical to no time sampling.
+///   alternating with G functionally warmed cycles, read by
+///   [`parse_time_sample`]) beats `NUCA_BENCH_TIME_SAMPLE`; absent both,
+///   every cycle is simulated in detail. A zero gap (`D:0`) is
+///   byte-identical to no time sampling;
+/// - `NUCA_BENCH_SCALE` (percent, default 100) and `NUCA_BENCH_MIXES`
+///   (default 10) must be positive integers when set.
 ///
 /// Other arguments belong to the binary (e.g. `--trace`) and are
 /// skipped.
@@ -96,33 +98,34 @@ pub fn parse_flags(
     args: impl IntoIterator<Item = String>,
     env: impl Fn(&str) -> Option<String>,
 ) -> Result<BenchFlags, String> {
-    fn jobs(what: &str, v: &str) -> Result<usize, String> {
+    fn count(what: &str, v: &str, min: u64) -> Result<u64, String> {
         v.trim()
             .parse()
-            .map_err(|_| format!("{what} wants a non-negative integer (got {v:?})"))
+            .ok()
+            .filter(|&n| n >= min)
+            .ok_or_else(|| format!("{what} wants an integer >= {min} (got {v:?})"))
     }
     fn schedule(what: &str, v: &str) -> Result<(u64, u64), String> {
-        parse_time_sample(v).ok_or_else(|| format!("{what} wants D:G with D > 0 (got {v:?})"))
+        parse_time_sample(v).map_err(|e| format!("{what}: {}", e.message()))
     }
-    let mut requested_jobs = None;
+    let mut jobs = None;
     let mut time_sample = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         if arg == "--jobs" {
-            requested_jobs = Some(jobs("--jobs", &value("--jobs")?)?);
+            jobs = Some(count("--jobs", &value("--jobs")?, 0)?);
         } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            requested_jobs = Some(jobs("--jobs", v)?);
+            jobs = Some(count("--jobs", v, 0)?);
         } else if arg == "--time-sample" {
             time_sample = Some(schedule("--time-sample", &value("--time-sample")?)?);
         } else if let Some(v) = arg.strip_prefix("--time-sample=") {
             time_sample = Some(schedule("--time-sample", v)?);
         }
     }
-    if requested_jobs.is_none() {
-        requested_jobs = env("NUCA_BENCH_JOBS")
-            .map(|v| jobs("NUCA_BENCH_JOBS", &v))
-            .transpose()?;
+    let from_env = |key: &str, min: u64| env(key).map(|v| count(key, &v, min)).transpose();
+    if jobs.is_none() {
+        jobs = from_env("NUCA_BENCH_JOBS", 0)?;
     }
     if time_sample.is_none() {
         time_sample = env("NUCA_BENCH_TIME_SAMPLE")
@@ -130,30 +133,11 @@ pub fn parse_flags(
             .transpose()?;
     }
     Ok(BenchFlags {
-        jobs: requested_jobs.unwrap_or(0),
+        jobs: jobs.unwrap_or(0) as usize,
         time_sample,
+        scale: from_env("NUCA_BENCH_SCALE", 1)?.unwrap_or(100),
+        mixes: from_env("NUCA_BENCH_MIXES", 1)?.unwrap_or(10) as usize,
     })
-}
-
-/// Parses a `D:G` time-sampling schedule; a zero detail with a non-zero
-/// gap is rejected (there would be no windows to measure from).
-pub fn parse_time_sample(v: &str) -> Option<(u64, u64)> {
-    let (d, g) = v.split_once(':')?;
-    let d = d.trim().parse::<u64>().ok()?;
-    let g = g.trim().parse::<u64>().ok()?;
-    if d == 0 && g > 0 {
-        return None;
-    }
-    Some((d, g))
-}
-
-/// Reads the per-figure mix count honoring `NUCA_BENCH_MIXES`.
-pub fn mix_count() -> usize {
-    std::env::var("NUCA_BENCH_MIXES")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or(10)
 }
 
 #[cfg(test)]
@@ -174,6 +158,7 @@ mod tests {
     fn well_formed_flags_parse_and_beat_the_environment() {
         let none = flags("", &[]).unwrap();
         assert_eq!((none.jobs, none.time_sample), (0, None));
+        assert_eq!((none.scale, none.mixes), (100, 10));
         let f = flags("--trace t.jsonl --jobs 3 --time-sample 10000:40000", &[]).unwrap();
         assert_eq!((f.jobs, f.time_sample), (3, Some((10_000, 40_000))));
         let f = flags("--jobs=2 --time-sample=5:0", &[]).unwrap();
@@ -184,6 +169,8 @@ mod tests {
         ];
         let f = flags("", &env).unwrap();
         assert_eq!((f.jobs, f.time_sample), (4, Some((100, 400))));
+        let f = flags("", &[("NUCA_BENCH_SCALE", "5"), ("NUCA_BENCH_MIXES", "2")]).unwrap();
+        assert_eq!((f.scale, f.mixes), (5, 2));
         let f = flags("--jobs 1 --time-sample 7:8", &env).unwrap();
         assert_eq!((f.jobs, f.time_sample), (1, Some((7, 8))));
     }
@@ -204,6 +191,10 @@ mod tests {
                 Some(("NUCA_BENCH_TIME_SAMPLE", "10000:4000O")),
                 "NUCA_BENCH_TIME_SAMPLE",
             ),
+            ("", Some(("NUCA_BENCH_SCALE", "2O")), "NUCA_BENCH_SCALE"),
+            ("", Some(("NUCA_BENCH_SCALE", "0")), "NUCA_BENCH_SCALE"),
+            ("", Some(("NUCA_BENCH_MIXES", "x")), "NUCA_BENCH_MIXES"),
+            ("", Some(("NUCA_BENCH_MIXES", "0")), "NUCA_BENCH_MIXES"),
         ] {
             let env: Vec<(&str, &str)> = env.into_iter().collect();
             let err = flags(line, &env)
@@ -215,9 +206,9 @@ mod tests {
 
     #[test]
     fn default_config_is_full_scale() {
-        // The env var is not set under `cargo test`.
-        let exp = experiment_config().unwrap();
-        assert!(exp.measure_cycles >= 1_000_000);
-        assert!(mix_count() >= 1);
+        // The env vars are not set under `cargo test`.
+        let (tele, exp, mixes) = setup().unwrap();
+        assert!(!tele.requested());
+        assert_eq!((exp, mixes), (ExperimentConfig::default().with_jobs(0), 10));
     }
 }

@@ -29,33 +29,45 @@ pub struct TelemetryArgs {
 
 impl TelemetryArgs {
     /// Reads the process command line and environment.
-    pub fn parse() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag when `--trace` or `--metrics-out` has no
+    /// value.
+    pub fn parse() -> Result<Self, String> {
         TelemetryArgs::from_args(std::env::args().skip(1), |key| std::env::var(key).ok())
     }
 
-    fn from_args(args: impl Iterator<Item = String>, env: impl Fn(&str) -> Option<String>) -> Self {
+    fn from_args(
+        mut args: impl Iterator<Item = String>,
+        env: impl Fn(&str) -> Option<String>,
+    ) -> Result<Self, String> {
         let mut trace = None;
         let mut metrics_out = None;
-        let mut args = args.peekable();
         while let Some(arg) = args.next() {
+            let mut value = |flag: &str| {
+                args.next()
+                    .map(PathBuf::from)
+                    .ok_or_else(|| format!("{flag} needs a path"))
+            };
             if arg == "--trace" {
-                trace = args.next().map(PathBuf::from);
+                trace = Some(value("--trace")?);
             } else if let Some(v) = arg.strip_prefix("--trace=") {
                 trace = Some(PathBuf::from(v));
             } else if arg == "--metrics-out" {
-                metrics_out = args.next().map(PathBuf::from);
+                metrics_out = Some(value("--metrics-out")?);
             } else if let Some(v) = arg.strip_prefix("--metrics-out=") {
                 metrics_out = Some(PathBuf::from(v));
             }
         }
-        TelemetryArgs {
+        Ok(TelemetryArgs {
             trace: trace.or_else(|| env("TRACE").filter(|s| !s.is_empty()).map(PathBuf::from)),
             metrics_out: metrics_out.or_else(|| {
                 env("METRICS_OUT")
                     .filter(|s| !s.is_empty())
                     .map(PathBuf::from)
             }),
-        }
+        })
     }
 
     /// Whether any output was requested.
@@ -109,7 +121,8 @@ mod tests {
             "METRICS_OUT" => Some("env-metrics.json".to_string()),
             _ => None,
         };
-        let t = TelemetryArgs::from_args(argv(&["--trace", "cli.jsonl", "--jobs", "2"]), env);
+        let t =
+            TelemetryArgs::from_args(argv(&["--trace", "cli.jsonl", "--jobs", "2"]), env).unwrap();
         assert_eq!(t.trace, Some(PathBuf::from("cli.jsonl")));
         assert_eq!(t.metrics_out, Some(PathBuf::from("env-metrics.json")));
         assert!(t.requested());
@@ -123,10 +136,18 @@ mod tests {
             } else {
                 None
             }
-        });
+        })
+        .unwrap();
         assert_eq!(t.trace, None, "empty TRACE means off");
         assert_eq!(t.metrics_out, Some(PathBuf::from("m.json")));
-        let off = TelemetryArgs::from_args(argv(&["--jobs", "4"]), |_| None);
+        let off = TelemetryArgs::from_args(argv(&["--jobs", "4"]), |_| None).unwrap();
         assert!(!off.requested());
+    }
+
+    #[test]
+    fn a_flag_without_its_path_is_an_error() {
+        let err = |args: &[&str]| TelemetryArgs::from_args(argv(args), |_| None).unwrap_err();
+        assert!(err(&["--jobs", "2", "--trace"]).contains("--trace"));
+        assert!(err(&["--metrics-out"]).contains("--metrics-out"));
     }
 }

@@ -22,10 +22,7 @@ fn tiny() -> ExperimentConfig {
         warm_instructions: 40_000,
         warmup_cycles: 8_000,
         measure_cycles: 25_000,
-        seed: 2007,
-        jobs: 1,
-        cycle_skip: true,
-        time_sample: None,
+        ..ExperimentConfig::default()
     }
 }
 

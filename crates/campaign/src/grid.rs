@@ -262,8 +262,8 @@ mod tests {
         let cells = spec.cells();
         assert_eq!(cells.len(), 2 * 2 * 2 * 2, "time_sample doubles the grid");
         // The time_sample axis sits between mix_seed and mix_index.
-        assert_eq!(cells[0].time_sample.to_config(), None);
-        assert_eq!(cells[2].time_sample.to_config(), Some((5_000, 20_000)));
+        let schedule = |i: usize| (cells[i].time_sample.detail, cells[i].time_sample.gap);
+        assert_eq!((schedule(0), schedule(2)), ((0, 0), (5_000, 20_000)));
         assert_eq!(cells[2].mix_index, 0);
     }
 

@@ -420,9 +420,7 @@ fn run_one(
         })?;
     let mut cmp = Cmp::new(&p.machine, p.org, &p.mix, spec.seed)?;
     cmp.load_chip_state(bytes)?;
-    if let Some((detail, gap)) = p.cell.time_sample.to_config() {
-        cmp.set_time_sample(detail, gap);
-    }
+    cmp.set_time_sample(p.cell.time_sample.detail, p.cell.time_sample.gap);
     cmp.run(spec.warmup_cycles);
     cmp.reset_stats();
     cmp.run(spec.measure_cycles);

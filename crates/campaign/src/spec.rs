@@ -119,8 +119,9 @@ impl LatPair {
 }
 
 /// A `detail:gap` time-sampling schedule, spelled `"20000:80000"` in
-/// specs. `0:0` turns time sampling off (full-detail simulation); a
-/// zero gap with a non-zero detail is also full detail by construction.
+/// specs and read by
+/// [`parse_time_sample`](nuca_core::experiment::parse_time_sample). A
+/// zero gap (`0:0`, or any `D:0`) is full-detail simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TsPair {
     /// Cycles simulated in detail per window.
@@ -135,25 +136,17 @@ impl TsPair {
         format!("{}:{}", self.detail, self.gap)
     }
 
-    /// The [`nuca_core::experiment::ExperimentConfig::time_sample`]
-    /// value this axis point selects (`None` when sampling is off).
-    pub fn to_config(self) -> Option<(u64, u64)> {
-        if self.gap == 0 {
-            None
-        } else {
-            Some((self.detail, self.gap))
-        }
-    }
-
-    /// Parses the `detail:gap` spelling (used by the spec axis and the
-    /// `--time-sample` command-line override). Schedule *validity*
-    /// (`detail > 0` whenever `gap > 0`) is the spec validator's job.
-    pub fn parse(s: &str) -> Option<Self> {
-        let (d, g) = s.split_once(':')?;
-        Some(TsPair {
-            detail: d.trim().parse().ok()?,
-            gap: g.trim().parse().ok()?,
-        })
+    /// Parses the `detail:gap` spelling (the spec axis and the
+    /// `--time-sample` command-line override).
+    ///
+    /// # Errors
+    ///
+    /// The [`parse_time_sample`](nuca_core::experiment::parse_time_sample)
+    /// message for a malformed or empty-window schedule.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        nuca_core::experiment::parse_time_sample(s)
+            .map(|(detail, gap)| TsPair { detail, gap })
+            .map_err(|e| e.message().to_string())
     }
 }
 
@@ -500,11 +493,11 @@ fn ts_axis(e: &RawEntry) -> Result<Vec<TsPair>, CampaignError> {
     as_arr(e)?
         .iter()
         .map(|v| match v {
-            RawValue::Str(s) => TsPair::parse(s).ok_or_else(|| {
+            RawValue::Str(s) => TsPair::parse(s).map_err(|msg| {
                 err(
                     e.line,
                     format!(
-                        "axis `{}` holds \"detail:gap\" schedule pairs, got \"{s}\"",
+                        "axis `{}` holds \"detail:gap\" schedule pairs: {msg}",
                         e.key
                     ),
                 )
@@ -651,11 +644,6 @@ impl CampaignSpec {
         if a.l3_assoc.contains(&0) {
             return bad("`l3_assoc` values must be at least 1".to_string());
         }
-        if a.time_sample.iter().any(|t| t.detail == 0 && t.gap > 0) {
-            return bad("`time_sample` schedules need detail > 0 when gap > 0 \
-                 (there would be no detailed windows to measure from)"
-                .to_string());
-        }
         Ok(())
     }
 
@@ -796,8 +784,6 @@ time_sample = ["0:0", "20000:80000"]
                 }
             ]
         );
-        assert_eq!(spec.axes.time_sample[0].to_config(), None);
-        assert_eq!(spec.axes.time_sample[1].to_config(), Some((20_000, 80_000)));
     }
 
     #[test]

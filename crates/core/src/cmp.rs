@@ -92,9 +92,6 @@ pub struct Cmp<S: Sink = NullSink> {
     l3: L3System<S>,
     now: Cycle,
     window_start: Cycle,
-    /// Whether [`Cmp::run`] may jump over provably-idle windows (the
-    /// event-driven fast path). The `--no-skip` escape hatch clears it.
-    cycle_skip: bool,
     /// Per-core memo of the last [`Core::idle_until`] answer: while
     /// `idle_wake[i] > now`, core `i` is known idle until that cycle and
     /// need not be re-proved. Sound because idleness depends only on
@@ -279,25 +276,11 @@ impl<S: Sink> Cmp<S> {
             l3,
             now: Cycle::ZERO,
             window_start: Cycle::ZERO,
-            cycle_skip: true,
             idle_wake,
             time_sample: None,
             ts,
             sink,
         })
-    }
-
-    /// Enables or disables event-driven cycle skipping in
-    /// [`run`](Self::run). Disabled, `run` steps every cycle — the
-    /// reference semantics the skipping path is differentially tested
-    /// against; results are bit-identical either way.
-    pub fn set_cycle_skip(&mut self, enabled: bool) {
-        self.cycle_skip = enabled;
-    }
-
-    /// Whether [`run`](Self::run) uses the event-driven fast path.
-    pub fn cycle_skip(&self) -> bool {
-        self.cycle_skip
     }
 
     /// Chip-wide functional-walk outcome counters (perf attribution side
@@ -315,16 +298,12 @@ impl<S: Sink> Cmp<S> {
     /// warmed cycles. A zero `gap` turns sampling off — the run is then
     /// byte-identical to an unconfigured chip, and
     /// [`snapshot`](Self::snapshot) carries no
-    /// [`TimeSamplingReport`]. Callers validate `detail > 0`; a zero
-    /// detail with a nonzero gap would measure nothing.
+    /// [`TimeSamplingReport`]. A zero detail with a nonzero gap would
+    /// measure nothing; [`parse_time_sample`](crate::experiment::parse_time_sample)
+    /// rejects it.
     pub fn set_time_sample(&mut self, detail: u64, gap: u64) {
         debug_assert!(gap == 0 || detail > 0, "time sampling needs detail > 0");
         self.time_sample = if gap == 0 { None } else { Some((detail, gap)) };
-    }
-
-    /// The active `(detail, gap)` time-sampling configuration, if any.
-    pub fn time_sample(&self) -> Option<(u64, u64)> {
-        self.time_sample
     }
 
     /// The current simulated time.
@@ -337,7 +316,8 @@ impl<S: Sink> Cmp<S> {
         &self.l3
     }
 
-    /// Advances the whole chip by one cycle.
+    /// Advances the whole chip by one cycle — the reference semantics
+    /// [`run`](Self::run)'s event skipping must reproduce exactly.
     pub fn step(&mut self) {
         for core in &mut self.cores {
             core.step(self.now, &mut self.l3);
@@ -347,8 +327,8 @@ impl<S: Sink> Cmp<S> {
 
     /// Runs for `cycles` cycles.
     ///
-    /// With cycle skipping enabled (the default), the loop is
-    /// event-driven: whenever every core proves its next step a no-op
+    /// The loop is event-driven: whenever every core proves its next
+    /// step a no-op
     /// (see [`Core::idle_until`]), the clock jumps straight to the
     /// earliest pending event — an MSHR/memory-fill completion, an issued
     /// ROB head finishing, a dependency becoming ready, or fetch
@@ -374,12 +354,6 @@ impl<S: Sink> Cmp<S> {
     /// event-skip semantics).
     fn run_detailed(&mut self, cycles: u64) {
         let target = self.now + cycles;
-        if !self.cycle_skip {
-            while self.now < target {
-                self.step();
-            }
-            return;
-        }
         // State mutations outside `run` (warming, stat resets) are not
         // tracked by the memo, so start from a clean slate.
         self.idle_wake.fill(0);
@@ -911,9 +885,9 @@ mod tests {
 
     #[test]
     fn cycle_skip_matches_stepping_loop_exactly() {
-        // The event-driven fast path must be *bit-identical* to the
-        // reference stepping loop: same committed counts, same hit/miss
-        // stats, same quotas, for every organization.
+        // The event-driven run loop must be *bit-identical* to stepping
+        // every cycle: same committed counts, same hit/miss stats, same
+        // quotas, for every organization.
         let cfg = MachineConfig::baseline();
         for org in [
             Organization::Private,
@@ -921,17 +895,20 @@ mod tests {
             Organization::adaptive(),
             Organization::Cooperative { seed: 7 },
         ] {
-            let run = |skip: bool| {
+            let run = |advance: fn(&mut Cmp, u64)| {
                 let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 11).unwrap();
-                cmp.set_cycle_skip(skip);
                 cmp.warm(5_000);
-                cmp.run(8_000);
+                advance(&mut cmp, 8_000);
                 cmp.reset_stats();
-                cmp.run(12_000);
+                advance(&mut cmp, 12_000);
                 cmp.snapshot()
             };
-            let fast = run(true);
-            let reference = run(false);
+            let fast = run(Cmp::run);
+            let reference = run(|cmp, n| {
+                for _ in 0..n {
+                    cmp.step();
+                }
+            });
             assert_eq!(fast, reference, "skip diverged under {}", org.label());
         }
     }

@@ -7,8 +7,7 @@
 //! (Figure 3) and [`compare_schemes`] (Figures 6–12 share it).
 
 use simcore::config::{CacheGeometry, MachineConfig, MachineConfigBuilder};
-use simcore::error::Result;
-use simcore::types::CoreId;
+use simcore::error::{ConfigError, Result};
 use telemetry::{collector, NullSink, Recorder, Sink, Trace, TraceMeta};
 use tracegen::spec::SpecApp;
 use tracegen::workload::{Mix, WorkloadPool};
@@ -42,18 +41,12 @@ pub struct ExperimentConfig {
     /// self-contained. This is an execution policy, not part of the
     /// experiment's identity.
     pub jobs: usize,
-    /// Whether [`Cmp::run`] may use the event-driven cycle-skipping fast
-    /// path. Like `jobs`, an execution policy: results are bit-identical
-    /// either way (enforced by the differential tests and the CI
-    /// skip-equivalence job); `false` is the `--no-skip` escape hatch
-    /// that keeps the reference stepping loop alive.
-    pub cycle_skip: bool,
     /// Time-sampled simulation: `Some((detail, gap))` alternates
     /// `detail` detailed cycles with `gap` functionally warmed cycles
-    /// (see [`Cmp::set_time_sample`]). Unlike `jobs` and `cycle_skip`
-    /// this *is* part of the experiment's identity — results are
-    /// estimates, and the accuracy summary lands in
-    /// [`CmpResult::time_sampling`]. `None` (or a zero gap) simulates
+    /// (see [`Cmp::set_time_sample`]; [`parse_time_sample`] reads the
+    /// `D:G` spelling). Unlike `jobs` this *is* part of the experiment's
+    /// identity — results are estimates, and the accuracy summary lands
+    /// in [`CmpResult::time_sampling`]. `None` (or a zero gap) simulates
     /// every cycle in detail.
     pub time_sample: Option<(u64, u64)>,
 }
@@ -66,7 +59,6 @@ impl Default for ExperimentConfig {
             measure_cycles: 1_500_000,
             seed: 2007,
             jobs: 1,
-            cycle_skip: true,
             time_sample: None,
         }
     }
@@ -79,10 +71,7 @@ impl ExperimentConfig {
             warm_instructions: 400_000,
             warmup_cycles: 20_000,
             measure_cycles: 150_000,
-            seed: 2007,
-            jobs: 1,
-            cycle_skip: true,
-            time_sample: None,
+            ..ExperimentConfig::default()
         }
     }
 
@@ -124,16 +113,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Same experiment with the event-driven cycle-skipping fast path
-    /// enabled or disabled.
-    #[must_use]
-    pub fn with_cycle_skip(&self, enabled: bool) -> Self {
-        ExperimentConfig {
-            cycle_skip: enabled,
-            ..*self
-        }
-    }
-
     /// Same experiment with time-sampled simulation: alternate `detail`
     /// detailed cycles with `gap` functionally warmed cycles (`None`
     /// turns time sampling off).
@@ -143,6 +122,32 @@ impl ExperimentConfig {
             time_sample: pair,
             ..*self
         }
+    }
+}
+
+/// Parses a `D:G` time-sampling schedule (`D` detailed cycles alternating
+/// with `G` functionally warmed cycles) for every entry point that takes
+/// one. Counts may carry surrounding whitespace and `_` digit separators;
+/// `D:0` means full detail (see [`Cmp::set_time_sample`]).
+///
+/// # Errors
+///
+/// [`ConfigError`] unless the text is two `:`-separated counts with
+/// `D > 0` whenever `G > 0`.
+pub fn parse_time_sample(text: &str) -> Result<(u64, u64)> {
+    let count = |part: &str| part.trim().replace('_', "").parse::<u64>().ok();
+    match text
+        .split_once(':')
+        .and_then(|(d, g)| Some((count(d)?, count(g)?)))
+    {
+        None => Err(ConfigError::new(format!(
+            "expected detail:gap cycle counts such as 10000:40000, got {text:?}"
+        ))),
+        Some((0, gap)) if gap > 0 => Err(ConfigError::new(format!(
+            "a schedule needs detail > 0 when gap > 0 (there would be no \
+             detailed cycles to measure IPC from), got {text:?}"
+        ))),
+        Some(pair) => Ok(pair),
     }
 }
 
@@ -170,7 +175,6 @@ fn drive<S: Sink>(
     sink: S,
 ) -> Result<MixResult> {
     let mut cmp = Cmp::new_with_sink(machine, org, mix, exp.seed, sink)?;
-    cmp.set_cycle_skip(exp.cycle_skip);
     if let Some((detail, gap)) = exp.time_sample {
         cmp.set_time_sample(detail, gap);
     }
@@ -488,17 +492,6 @@ pub fn per_app_speedup(
     }
     acc.into_iter()
         .map(|(app, (sum, n))| (app, sum / n as f64, n))
-        .collect()
-}
-
-/// Convenience: which core ran which app in a result (used by reports).
-pub fn core_apps(result: &MixResult) -> Vec<(CoreId, &'static str)> {
-    result
-        .result
-        .per_core
-        .iter()
-        .enumerate()
-        .map(|(i, (app, _))| (CoreId::from_index(i as u8), *app))
         .collect()
 }
 

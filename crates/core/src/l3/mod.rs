@@ -153,14 +153,6 @@ impl<S: Sink> L3System<S> {
         }
     }
 
-    /// The cooperative instance, when this system is cooperative.
-    pub fn as_cooperative(&self) -> Option<&CooperativeL3<S>> {
-        match self {
-            L3System::Cooperative(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Memory-channel statistics.
     pub fn memory_stats(&self) -> MemoryStats {
         match self {

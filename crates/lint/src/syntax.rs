@@ -132,27 +132,6 @@ impl FileIndex {
     pub fn allowed_inline(&self, rule: Rule, line: usize) -> bool {
         self.allows.iter().any(|a| a.rule == rule && a.line == line)
     }
-
-    /// Code position of the matching `}` for the `{` at code position
-    /// `open` (or the last token if unbalanced).
-    pub fn matching_brace(&self, open: usize) -> usize {
-        let mut depth = 0i64;
-        let mut i = open;
-        while i < self.code.len() {
-            match self.ctext(i) {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        self.code.len().saturating_sub(1)
-    }
 }
 
 /// Parses `#[...]` at code position `i` (pointing at `#`). Returns the code

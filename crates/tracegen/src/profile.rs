@@ -285,12 +285,6 @@ impl AppProfileBuilder {
         self
     }
 
-    /// Sets the multiply fraction of compute ops.
-    pub fn mul_fraction(mut self, f: f64) -> Self {
-        self.profile.mul_frac = f;
-        self
-    }
-
     /// Sets the mean dependency distance (larger = more ILP).
     pub fn dep_mean(mut self, d: f64) -> Self {
         self.profile.dep_mean = d;
@@ -312,14 +306,6 @@ impl AppProfileBuilder {
     /// Sets the looping fraction of hot-region accesses.
     pub fn hot_loop(mut self, f: f64) -> Self {
         self.profile.hot_loop = f;
-        self
-    }
-
-    /// Directs `f` of this application's loads at the chip-wide
-    /// read-shared region (parallel-workload mode).
-    pub fn shared_reads(mut self, f: f64, shared_kb: u64) -> Self {
-        self.profile.shared_read_frac = f;
-        self.profile.shared_kb = shared_kb;
         self
     }
 

@@ -1,10 +1,11 @@
 #!/bin/bash
-# Regenerates every table and figure. Characterization runs that are not
-# sweep grids (Table 1, the cost model, the single-app Figures 3 and 5,
-# and the ablation/parallel extensions) keep their dedicated binaries;
-# every mix-grid experiment (Figures 6-12, the screened capacity sweep) runs through the campaign engine from the
-# committed specs under specs/, one JSONL manifest per spec in
-# results/campaign/.
+# Regenerates every table and figure. Every figure binary (Table 1, the
+# cost model, Figures 3 and 5-12, the shadow-sampling study and the
+# ablation/parallel extensions) writes its printed table to
+# results/<bin>.txt, the files EXPERIMENTS.md cites. The mix-grid
+# experiments (Figures 6-12, the screened capacity sweep) also run through
+# the campaign engine from the committed specs under specs/, one JSONL
+# manifest per spec in results/campaign/.
 #
 # JOBS controls the worker-thread count (default: all cores). Manifests
 # and figure outputs are bit-identical for any JOBS value.
@@ -18,7 +19,7 @@
 # unset.
 #
 # TRACE and METRICS_OUT (both optional) turn on telemetry for the
-# characterization binaries: set them to the literal string "results"
+# figure binaries: set them to the literal string "results"
 # to write results/<bin>.trace.jsonl / results/<bin>.metrics.json, or
 # leave them empty to run untraced. (Campaign runs emit manifests, not
 # event traces.)
@@ -35,8 +36,9 @@ if [ -n "$TIME_SAMPLE" ]; then
     echo "time sampling on: $TIME_SAMPLE detailed:functional cycle schedule"
 fi
 
-echo "running characterization binaries with --jobs $JOBS"
-for bin in table1 cost_model fig3 fig5 shadow_sampling ablations parallel; do
+echo "running figure binaries with --jobs $JOBS"
+for bin in table1 cost_model fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
+           shadow_sampling ablations parallel; do
     echo "=== $bin ==="
     tele=()
     if [ "$TRACE" = "results" ]; then

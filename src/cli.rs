@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use nuca_core::cmp::{Cmp, CmpResult};
 use nuca_core::engine::AdaptiveParams;
+use nuca_core::experiment::parse_time_sample;
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
 use simcore::error::ConfigError;
@@ -49,10 +50,6 @@ pub struct SimRequest {
     pub seed: u64,
     /// Audit L3 structural invariants after every step (slow).
     pub paranoid: bool,
-    /// Advance time event-driven, skipping fully-stalled windows.
-    /// Execution policy only: results are bit-identical either way, and
-    /// `--no-skip` forces the reference stepping loop.
-    pub cycle_skip: bool,
     /// Worker threads for running the organizations (`0` = one per
     /// available core). Results are bit-identical for every value.
     pub jobs: usize,
@@ -136,9 +133,6 @@ OPTIONS:
     --paranoid             audit L3 structural invariants after every
                            timed step; abort on the first violation (slow),
                            dumping the tail of the telemetry event ring
-    --no-skip              disable event-driven cycle skipping and run the
-                           reference stepping loop (bit-identical output,
-                           slower; exists as a differential check)
     --time-sample <D:G>    alternate D cycle-accurate cycles with G
                            functionally warmed cycles (caches, quotas
                            and predictors stay warm; pipeline timing is
@@ -170,7 +164,6 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
     let mut tech_scaled = false;
     let mut reeval = 2000u64;
     let mut paranoid = false;
-    let mut cycle_skip = true;
     let mut jobs = 1usize;
     let mut time_sample: Option<(u64, u64)> = None;
     let mut trace: Option<PathBuf> = None;
@@ -219,24 +212,15 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
                 jobs = simcore::parallel::resolve_jobs(parse_u64(value("--jobs")?)? as usize)
             }
             "--time-sample" => {
-                let v = value("--time-sample")?;
-                let (d, g) = v
-                    .split_once(':')
-                    .ok_or_else(|| CliError::new("--time-sample expects DETAIL:GAP"))?;
-                let pair = (parse_u64(d)?, parse_u64(g)?);
-                if pair.0 == 0 && pair.1 > 0 {
-                    return Err(CliError::new(
-                        "--time-sample needs a detail window > 0 when the gap is > 0 \
-                         (there would be no detailed cycles to measure IPC from)",
-                    ));
-                }
-                time_sample = Some(pair);
+                time_sample = Some(
+                    parse_time_sample(value("--time-sample")?)
+                        .map_err(|e| CliError::new(format!("--time-sample: {}", e.message())))?,
+                );
             }
             "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
             "--metrics-out" => metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
             "--tech-scaled" => tech_scaled = true,
             "--paranoid" => paranoid = true,
-            "--no-skip" => cycle_skip = false,
             "--help" | "-h" => return Err(CliError::new(USAGE)),
             other => return Err(CliError::new(format!("unknown argument: {other}"))),
         }
@@ -310,7 +294,6 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
         measure_cycles: measure,
         seed,
         paranoid,
-        cycle_skip,
         jobs,
         time_sample,
         trace,
@@ -414,7 +397,6 @@ fn drive<S: Sink>(
     req: &SimRequest,
     recorder: Option<&Recorder>,
 ) -> Result<CmpResult, CliError> {
-    cmp.set_cycle_skip(req.cycle_skip);
     if let Some((detail, gap)) = req.time_sample {
         cmp.set_time_sample(detail, gap);
     }
@@ -543,7 +525,6 @@ mod tests {
         assert_eq!(req.organizations[0].label(), "adaptive");
         assert_eq!(req.seed, 2007);
         assert_eq!(req.jobs, 1);
-        assert!(req.cycle_skip);
     }
 
     #[test]
@@ -597,12 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn no_skip_selects_the_reference_stepping_loop() {
-        let req = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon --no-skip")).unwrap();
-        assert!(!req.cycle_skip);
-    }
-
-    #[test]
     fn parses_an_organization_list_and_jobs() {
         let req = parse_args(&argv(
             "--org private,shared,adaptive --apps ammp,gzip,crafty,eon --jobs 2",
@@ -644,6 +619,10 @@ mod tests {
         assert!(parse_args(&argv("--org private --apps a,b,c,d")).is_err());
         assert!(parse_args(&argv("--org private --apps ammp,gzip,crafty,eon --seed x")).is_err());
         assert!(parse_args(&argv("--unknown")).is_err());
+        // The stepping loop is `Cmp::step`, not a run mode.
+        let err = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon --no-skip"))
+            .expect_err("--no-skip is not an option");
+        assert!(err.to_string().contains("--no-skip"), "{err}");
         assert!(parse_args(&argv(
             "--org adaptive --apps ammp,gzip,crafty,eon --parallel a:1:1"
         ))

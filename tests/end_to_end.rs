@@ -4,12 +4,14 @@
 
 use nuca_repro::nuca_core::cmp::{Cmp, CmpResult};
 use nuca_repro::nuca_core::experiment::{
-    compare_schemes, run_mix, run_mix_traced, ExperimentConfig,
+    compare_schemes, initial_quotas, run_mix, run_mix_traced, ExperimentConfig,
 };
 use nuca_repro::nuca_core::l3::Organization;
 use nuca_repro::simcore::config::MachineConfig;
+use nuca_repro::simcore::error::ConfigError;
 use nuca_repro::simcore::snapshot::fnv1a64;
 use nuca_repro::telemetry::export::render_jsonl;
+use nuca_repro::telemetry::{Recorder, Trace, TraceMeta};
 use nuca_repro::tracegen::spec::SpecApp;
 use nuca_repro::tracegen::workload::{Mix, WorkloadPool};
 
@@ -193,42 +195,58 @@ fn eight_megabyte_l3_reduces_misses() {
     );
 }
 
+/// The reference side of the skip ≡ step contract: `run_mix_traced`'s
+/// protocol (ring capacity 4096) advancing every timed cycle through
+/// [`Cmp::step`] instead of [`Cmp::run`].
+fn run_mixed_stepped(
+    machine: &MachineConfig,
+    org: Organization,
+) -> Result<(CmpResult, Trace), ConfigError> {
+    let (exp, capacity) = (exp(), 4096);
+    let recorder = Recorder::with_capacity(capacity);
+    let mut cmp = Cmp::new_with_sink(machine, org, &mixed(), exp.seed, recorder.clone())?;
+    cmp.warm(exp.warm_instructions);
+    for _ in 0..exp.warmup_cycles {
+        cmp.step();
+    }
+    cmp.reset_stats();
+    for _ in 0..exp.measure_cycles {
+        cmp.step();
+    }
+    let result = cmp.snapshot();
+    let meta = TraceMeta {
+        org: org.label().to_string(),
+        cores: machine.cores,
+        ring_capacity: capacity,
+        initial_quotas: initial_quotas(machine, org),
+    };
+    let trace = recorder.finish(meta, result.quotas.clone().unwrap_or_default());
+    Ok((result, trace))
+}
+
 #[test]
 fn cycle_skip_is_invisible_end_to_end() {
-    // The event-driven fast path must be a pure execution policy: for
-    // every organization, the measured window, the figure-feeding rows
-    // and the *byte-rendered* telemetry stream match the reference
-    // stepping loop exactly.
+    // The event-driven run loop must be invisible: for every
+    // organization, the measured window and the *byte-rendered*
+    // telemetry stream match stepping every cycle exactly. (Figure rows
+    // and metrics exports are pure functions of these; the golden
+    // digests in `no_fast_path_is_invisible_end_to_end` pin them.)
     let machine = MachineConfig::baseline();
     for org in [
         Organization::Private,
         Organization::Shared,
         Organization::adaptive(),
     ] {
-        let (fast, fast_trace) =
-            run_mix_traced(&machine, org, &mixed(), &exp().with_cycle_skip(true), 4096).unwrap();
-        let (slow, slow_trace) =
-            run_mix_traced(&machine, org, &mixed(), &exp().with_cycle_skip(false), 4096).unwrap();
-        assert_eq!(fast.result, slow.result, "{} window differs", org.label());
+        let (fast, fast_trace) = run_mix_traced(&machine, org, &mixed(), &exp(), 4096).unwrap();
+        let (stepped, stepped_trace) = run_mixed_stepped(&machine, org).unwrap();
+        assert_eq!(fast.result, stepped, "{} window differs", org.label());
         assert_eq!(
             render_jsonl(std::slice::from_ref(&fast_trace)),
-            render_jsonl(std::slice::from_ref(&slow_trace)),
+            render_jsonl(std::slice::from_ref(&stepped_trace)),
             "{} telemetry JSONL differs",
             org.label()
         );
     }
-    // And through the multi-cell figure harness: the scheme-comparison
-    // rows (what every figure consumes) are bit-identical too.
-    let orgs = [
-        Organization::Private,
-        Organization::Shared,
-        Organization::adaptive(),
-    ];
-    let rows_fast =
-        compare_schemes(&machine, &orgs, &mixed(), &exp().with_cycle_skip(true)).unwrap();
-    let rows_slow =
-        compare_schemes(&machine, &orgs, &mixed(), &exp().with_cycle_skip(false)).unwrap();
-    assert_eq!(rows_fast, rows_slow);
 }
 
 #[test]

@@ -15,10 +15,7 @@ fn exp() -> ExperimentConfig {
         warm_instructions: 1_200_000,
         warmup_cycles: 500_000,
         measure_cycles: 600_000,
-        seed: 2007,
-        jobs: 1,
-        cycle_skip: true,
-        time_sample: None,
+        ..ExperimentConfig::default()
     }
 }
 
